@@ -463,8 +463,7 @@ fn persist_frame(
     let job_dir = dir.join(format!("job-{id}"));
     std::fs::create_dir_all(&job_dir)?;
     let path = job_dir.join("latest.snap");
-    write_snapshot_file(&path, frame)?;
-    let bytes = frame.to_bytes().len() as u64;
+    let bytes = write_snapshot_file(&path, frame)?;
     Ok((path, bytes))
 }
 

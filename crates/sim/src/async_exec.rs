@@ -62,9 +62,11 @@ use rand::SeedableRng;
 use stoneage_core::{BoundedCount, Fsm, Letter};
 use stoneage_graph::{Graph, NodeId};
 
+use crate::churn::{plan_config, ChurnPlan, ChurnSummary};
 use crate::engine::FlatPorts;
 use crate::faults::{faulted_sends, FaultLayer, FaultSummary, FaultsArg};
 use crate::schedule::CalendarQueue;
+use crate::sim::{Bridge, ObsArg, RowResult};
 use crate::snapshot::{
     self, AsyncCapture, BacklogEvent, BacklogKind, SnapArgs, Snapshot, SnapshotError,
 };
@@ -566,23 +568,71 @@ fn choose_bucket_width<A: Adversary + ?Sized>(
 
 /// The asynchronous engine: runs `protocol` under `adversary`, invoking
 /// `observer` after every node step, and returns the final per-node
-/// state vector next to the legacy outcome. The single transcription of
-/// the event loop — the [`crate::Simulation`] builder and (through it)
-/// every legacy `run_async*` shim land here.
+/// state vector next to the legacy outcome. The [`crate::Simulation`]
+/// builder's Async row points here; under a churn `plan` it hands the
+/// run to [`exec_async_churn`] and reports its [`ChurnSummary`].
 ///
 /// Inputs are validated by the builder; this function assumes
 /// `inputs.len() == graph.node_count()`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_async<P: Fsm, A: Adversary + ?Sized, O: AsyncObserver<P::State>>(
+pub(crate) fn exec_async<P: Fsm>(
     protocol: &P,
     graph: &Graph,
     inputs: &[usize],
-    adversary: &A,
+    adversary: &dyn Adversary,
     config: &AsyncConfig,
+    plan: Option<&ChurnPlan>,
+    observer: ObsArg<'_, P::State>,
+    snap: &SnapArgs<'_, P::State>,
+    faults: FaultsArg<'_>,
+) -> RowResult<AsyncOutcome, P::State> {
+    // The event loop calls `on_step` once per node step: a run without an
+    // observer is monomorphized over the no-op observer, because even an
+    // untaken branch per step costs measurable throughput.
+    match observer {
+        Some(o) => run_async(
+            protocol,
+            graph,
+            inputs,
+            adversary,
+            config,
+            plan,
+            &mut Bridge(Some(o)),
+            snap,
+            faults,
+        ),
+        None => run_async(
+            protocol,
+            graph,
+            inputs,
+            adversary,
+            config,
+            plan,
+            &mut NoopAsyncObserver,
+            snap,
+            faults,
+        ),
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+fn run_async<P: Fsm, O: AsyncObserver<P::State>>(
+    protocol: &P,
+    graph: &Graph,
+    inputs: &[usize],
+    adversary: &dyn Adversary,
+    config: &AsyncConfig,
+    plan: Option<&ChurnPlan>,
     observer: &mut O,
     snap: &SnapArgs<'_, P::State>,
     faults: FaultsArg<'_>,
-) -> Result<(AsyncOutcome, Vec<P::State>), ExecError> {
+) -> RowResult<AsyncOutcome, P::State> {
+    if let Some(plan) = plan {
+        let (out, states, summary) = exec_async_churn(
+            protocol, graph, inputs, adversary, config, plan, observer, snap, faults,
+        )?;
+        return Ok((out, states, Some(summary)));
+    }
     let n = graph.node_count();
     debug_assert_eq!(inputs.len(), n, "the builder validates input length");
 
@@ -640,6 +690,7 @@ pub(crate) fn exec_async<P: Fsm, A: Adversary + ?Sized, O: AsyncObserver<P::Stat
                 lost_overwrites: 0,
             },
             ex.states,
+            None,
         ));
     }
 
@@ -663,7 +714,7 @@ pub(crate) fn exec_async<P: Fsm, A: Adversary + ?Sized, O: AsyncObserver<P::Stat
     if let Some(out) = fout {
         *out = Some(layer.tally);
     }
-    result
+    result.map(|(out, states)| (out, states, None))
 }
 
 /// The queue-side remainder of a decoded async snapshot: the serialized
@@ -1152,11 +1203,11 @@ pub(crate) fn exec_async_churn<P, A, O>(
     inputs: &[usize],
     adversary: &A,
     config: &AsyncConfig,
-    plan: &crate::churn::ChurnPlan,
+    plan: &ChurnPlan,
     observer: &mut O,
     snap: &SnapArgs<'_, P::State>,
     faults: FaultsArg<'_>,
-) -> Result<(AsyncOutcome, Vec<P::State>, crate::churn::ChurnSummary), ExecError>
+) -> Result<(AsyncOutcome, Vec<P::State>, ChurnSummary), ExecError>
 where
     P: Fsm,
     A: Adversary + ?Sized,
@@ -1165,9 +1216,7 @@ where
     use crate::churn::{ChurnCtl, DEAD_OUTPUT};
     use crate::engine::TOMBSTONE;
 
-    let universe = plan.universe(base).map_err(|e| ExecError::Config {
-        reason: format!("churn plan: {e}"),
-    })?;
+    let universe = plan.universe(base).map_err(plan_config)?;
     let n = universe.node_count();
     debug_assert_eq!(inputs.len(), n, "the builder validates input length");
     assert!(

@@ -25,28 +25,29 @@
 //!
 //! # Epoch-boundary bit-identity
 //!
-//! Events are applied **only at round boundaries** — after a round's
-//! phase-2b deliveries have landed and the epoch has flipped, before the
-//! next round's phase-1 observations. Inside any round the engine is
-//! therefore exactly the churn-free pipeline of [`crate::pipeline`]: all
-//! observations read a frozen plane, all RNG streams are per-node, and
-//! the plane swap is a pure epoch flip. The boundary patch itself is a
-//! deterministic pure function of the event sequence (the
+//! Events are applied **only at round boundaries**, by the churn hook of
+//! the one lockstep round loop (see "Boundary hooks" in the
+//! [`crate::pipeline`] docs). Every schedule — serial, joined, fused,
+//! static or work-stealing — runs that loop and calls the hook after a
+//! round's phase-2b deliveries have landed and the epoch has flipped,
+//! before the next round's phase-1 observations. Inside any round the
+//! engine is therefore exactly the churn-free pipeline: all observations
+//! read a frozen plane, all RNG streams are per-node, and the plane swap
+//! is a pure epoch flip. The boundary patch itself is a deterministic
+//! pure function of the event sequence (the
 //! [`stoneage_graph::DynamicGraph`] replica and the emitted
-//! [`stoneage_graph::SlotPatch`]es are). Consequently the serial, joined,
-//! and fused schedules stay **bit-identical** under churn:
+//! [`stoneage_graph::SlotPatch`]es are). Consequently every schedule
+//! stays **bit-identical** under churn:
 //!
-//! * the joined schedule patches right after its phase-2b merge and
-//!   epoch flip — the same store state the serial engine patches;
-//! * the fused schedule defers phase 2b of round *r* into round
-//!   *r + 1*'s worker scope, so at a churn boundary it first **flushes**
-//!   the deferred buffers serially (landing exactly the writes the next
-//!   scope would have landed — order is immaterial by per-round slot
-//!   uniqueness, but the flush replays the fixed shard-major worker
-//!   order anyway), then patches. Flush-before-patch is load-bearing: a
-//!   write buffered for a slot that the boundary *revives* must be
-//!   dropped by the tombstone guard and then overwritten with `σ₀`, not
-//!   land on the fresh slot;
+//! * the hook patches the same store on every schedule. The fused
+//!   schedule defers phase 2b of round *r* into round *r + 1*'s worker
+//!   scope, so at a boundary with due events the pipeline first
+//!   **flushes** the deferred buffers (landing exactly the writes the
+//!   next scope would have landed, in the same fixed shard-major worker
+//!   order), then patches. Flush-before-patch is load-bearing: a write
+//!   buffered for a slot that the boundary *revives* must be dropped by
+//!   the tombstone guard and then overwritten with `σ₀`, not land on the
+//!   fresh slot;
 //! * a crashed node is skipped without drawing from its RNG, so every
 //!   other node's stream — and its own stream across a restart — is
 //!   untouched on every schedule.
@@ -104,31 +105,15 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use stoneage_core::{Letter, MultiFsm, ObsVec};
+use stoneage_core::Letter;
 use stoneage_graph::{
     DynamicGraph, Graph, GraphBuilder, NodeId, SlotOp, SlotPatch, TopologyError, TopologyEvent,
 };
 
-use crate::engine::{FlatPorts, PortPlanes};
-#[cfg(feature = "parallel")]
-use crate::faults::FaultSink;
-use crate::faults::{FaultLayer, FaultSummary, FaultsArg};
-#[cfg(feature = "parallel")]
-use crate::parbuf::{
-    self, ChunkPlan, ChunkScheduler, DeliveryBuffer, ParallelPolicy, RoundMode, ShardPlan,
-    StealStats,
-};
-#[cfg(feature = "parallel")]
-use crate::pipeline::{
-    absorb_steal_yields, next_task, seed_deques, ShardedSink, StealTask, StealYield,
-};
-use crate::pipeline::{boundary_checkpoint, node_round, RoundEnd, RoundStep, SerialWrites};
-use crate::scoped::{scoped_rngs, ScopedDelivery, ScopedMultiFsm, ScopedOutcome, ScopedStep};
+use crate::engine::FlatPorts;
+use crate::pipeline::RoundStep;
 use crate::sim::Observer;
-use crate::snapshot::{self, SnapArgs, SnapPlumb, SnapshotError};
-use crate::sync_exec::{
-    compile_faults, seed_rngs, SyncConfig, SyncObserver, SyncOutcome, SyncStep,
-};
+use crate::snapshot::SnapshotError;
 use crate::{splitmix64, ExecError};
 
 /// The output value reported for a node that is **dead** (crashed and
@@ -366,10 +351,48 @@ impl ChurnOracle {
     }
 }
 
+/// The validated starting point of `plan` over `base`: the liveness
+/// overlay with the plan's extra edges disabled, the retire patches that
+/// disabled them, and the events stably sorted by round (insertion order
+/// within a round is the application order). Every event is dry-run
+/// against a scratch replica, so a malformed plan is an
+/// [`ExecError::Config`] before any run starts. Shared by the engine's
+/// [`ChurnCtl`] and the [`StabilizationObserver`] replica, so both reject
+/// the same plans.
+type Prepared = (DynamicGraph, Vec<SlotPatch>, Vec<(u64, TopologyEvent)>);
+
+fn prepare(plan: &ChurnPlan, base: &Graph, universe: &Graph) -> Result<Prepared, ExecError> {
+    let mut events = plan.events.clone();
+    events.sort_by_key(|&(r, _)| r);
+    let mut overlay = DynamicGraph::new(universe);
+    let mut setup_patches = Vec::new();
+    for &(u, v) in &plan.extra_edges {
+        if base.has_edge(u, v) {
+            continue; // part of the base universe; starts enabled
+        }
+        overlay
+            .apply(
+                universe,
+                TopologyEvent::EdgeDelete(u, v),
+                &mut setup_patches,
+            )
+            .map_err(plan_config)?;
+    }
+    let mut scratch = overlay.clone();
+    let mut sink = Vec::new();
+    for &(_, ev) in &events {
+        scratch
+            .apply(universe, ev, &mut sink)
+            .map_err(plan_config)?;
+    }
+    Ok((overlay, setup_patches, events))
+}
+
 /// The engine-side churn controller: owns the liveness overlay, walks
 /// the (round-sorted) event schedule, patches the port store, and
-/// accumulates the [`ChurnSummary`]. One per run; shared by every
-/// schedule (serial, joined, fused) and both lockstep step flavors.
+/// accumulates the [`ChurnSummary`]. One per run: the churn boundary
+/// hook of the lockstep round pipeline (every schedule, both lockstep
+/// step flavors) and of the async churn loop.
 pub(crate) struct ChurnCtl<'p> {
     plan: &'p ChurnPlan,
     /// The plan's events stably sorted by round (insertion order within
@@ -388,43 +411,15 @@ pub(crate) struct ChurnCtl<'p> {
 }
 
 impl<'p> ChurnCtl<'p> {
-    /// Validates the whole plan eagerly (a dry run against a scratch
-    /// replica — malformed events become [`ExecError::Config`] before
-    /// the run starts) and prepares the overlay with the plan's extra
-    /// edges disabled.
+    /// Validates the whole plan eagerly (see [`prepare`]) and starts the
+    /// overlay with the plan's extra edges disabled.
     pub(crate) fn new(
         plan: &'p ChurnPlan,
         base: &Graph,
         universe: &Graph,
         sigma0: Letter,
     ) -> Result<Self, ExecError> {
-        let mut events = plan.events.clone();
-        events.sort_by_key(|&(r, _)| r);
-        let mut overlay = DynamicGraph::new(universe);
-        let mut setup_patches = Vec::new();
-        for &(u, v) in &plan.extra_edges {
-            if base.has_edge(u, v) {
-                continue; // part of the base universe; starts enabled
-            }
-            overlay
-                .apply(
-                    universe,
-                    TopologyEvent::EdgeDelete(u, v),
-                    &mut setup_patches,
-                )
-                .map_err(|e| ExecError::Config {
-                    reason: format!("churn plan: {e}"),
-                })?;
-        }
-        let mut scratch = overlay.clone();
-        let mut sink = Vec::new();
-        for &(_, ev) in &events {
-            scratch
-                .apply(universe, ev, &mut sink)
-                .map_err(|e| ExecError::Config {
-                    reason: format!("churn plan: {e}"),
-                })?;
-        }
+        let (overlay, setup_patches, events) = prepare(plan, base, universe)?;
         Ok(ChurnCtl {
             plan,
             events,
@@ -460,7 +455,6 @@ impl<'p> ChurnCtl<'p> {
     }
 
     /// Whether any event is due at the boundary after `round`.
-    #[cfg(feature = "parallel")]
     pub(crate) fn has_pending(&self, round: u64) -> bool {
         self.peek_round().is_some_and(|r| r <= round)
     }
@@ -603,1034 +597,11 @@ impl<'p> ChurnCtl<'p> {
     }
 }
 
-/// The serial churn round loop: [`crate::pipeline::run_serial`] with a
-/// live-node filter, a boundary patch between rounds, and the
-/// plan-exhaustion termination condition (a run may be all-decided while
-/// a restart is still scheduled).
-#[allow(clippy::too_many_arguments)]
-fn run_serial_churn<St, O>(
-    step: &St,
-    universe: &Graph,
-    planes: &mut PortPlanes,
-    states: &mut [St::State],
-    rngs: &mut [SmallRng],
-    inputs: &[usize],
-    ctl: &mut ChurnCtl<'_>,
-    max_rounds: u64,
-    observer: &mut O,
-    witness: &mut St::Witness,
-    plumb: &SnapPlumb<St::State>,
-    faults: &mut FaultLayer<'_>,
-) -> RoundEnd
-where
-    St: RoundStep,
-    O: SyncObserver<St::State>,
-{
-    let n = states.len();
-    let (start, mut sent, mut undecided) = match &plumb.resume {
-        Some(r) => (r.round, r.sent, r.undecided as isize),
-        None => (
-            0,
-            0,
-            states.iter().filter(|q| !step.decided(q)).count() as isize,
-        ),
-    };
-    if plumb.resume.is_none() {
-        // Round-0 events apply before the first observation. A resumed
-        // run skips this: the snapshot store already includes every
-        // boundary up to its round, and fast-forward replayed the
-        // schedule cursor.
-        ctl.boundary(
-            universe,
-            0,
-            step,
-            inputs,
-            states,
-            &mut undecided,
-            planes.write(),
-        );
-        if undecided == 0 && ctl.exhausted() {
-            return RoundEnd::Done { rounds: 0, sent };
-        }
-    }
-    let mut obs = ObsVec::zeroed(planes.sigma());
-    let mut sink = SerialWrites::default();
-    for round in start + 1..=max_rounds {
-        sink.begin_round();
-        {
-            let ports = planes.read();
-            let live = ctl.live();
-            let mut fsink = faults.sink(&mut sink, round);
-            for v in 0..n {
-                if !live[v] {
-                    continue;
-                }
-                undecided += node_round(
-                    step,
-                    universe,
-                    ports,
-                    round,
-                    v,
-                    &mut states[v],
-                    &mut rngs[v],
-                    &mut obs,
-                    &mut fsink,
-                    witness,
-                );
-            }
-        }
-        sent += sink.sent;
-        planes.land_serial(&sink.writes);
-        ctl.boundary(
-            universe,
-            round,
-            step,
-            inputs,
-            states,
-            &mut undecided,
-            planes.write(),
-        );
-        observer.on_round_end(round, states);
-        if undecided == 0 && ctl.exhausted() {
-            return RoundEnd::Done {
-                rounds: round,
-                sent,
-            };
-        }
-        boundary_checkpoint::<St, _>(
-            plumb,
-            round,
-            sent,
-            undecided,
-            planes,
-            states,
-            rngs,
-            witness,
-            Some(ctl.cursor()),
-            faults.capture(),
-            observer,
-        );
-    }
-    RoundEnd::Limit {
-        limit: max_rounds,
-        unfinished: undecided as usize,
-    }
-}
-
-/// The parallel churn round loop: [`crate::pipeline::run_parallel`] with
-/// the same live-node filter, boundary patch, and termination condition
-/// as [`run_serial_churn`]. On the fused schedule, a boundary with due
-/// events first flushes the deferred phase-2b buffers serially (see the
-/// [module docs](self) for why flush-before-patch is load-bearing).
-/// Both round modes compose with the work-stealing
-/// [`ChunkScheduler`] exactly as in the churn-free pipeline — the live
-/// filter is applied per node inside whichever chunk a task carries, so
-/// the set of nodes that run a round is schedule-independent.
-#[cfg(feature = "parallel")]
-#[allow(clippy::too_many_arguments)]
-fn run_parallel_churn<St, O>(
-    step: &St,
-    universe: &Graph,
-    planes: &mut PortPlanes,
-    states: &mut [St::State],
-    rngs: &mut [SmallRng],
-    inputs: &[usize],
-    ctl: &mut ChurnCtl<'_>,
-    policy: &ParallelPolicy,
-    max_rounds: u64,
-    observer: &mut O,
-    witness: &mut St::Witness,
-    plumb: &SnapPlumb<St::State>,
-    faults: &mut FaultLayer<'_>,
-    steals: &mut StealStats,
-) -> RoundEnd
-where
-    St: RoundStep + Sync,
-    St::State: Send + Sync,
-    St::Witness: Send,
-    O: SyncObserver<St::State>,
-{
-    let (start, mut sent, mut undecided) = match &plumb.resume {
-        Some(r) => (r.round, r.sent, r.undecided as isize),
-        None => (
-            0,
-            0,
-            states.iter().filter(|q| !step.decided(q)).count() as isize,
-        ),
-    };
-    if plumb.resume.is_none() {
-        ctl.boundary(
-            universe,
-            0,
-            step,
-            inputs,
-            states,
-            &mut undecided,
-            planes.write(),
-        );
-        if undecided == 0 && ctl.exhausted() {
-            return RoundEnd::Done { rounds: 0, sent };
-        }
-    }
-    let sigma = planes.sigma();
-    // Planned ONCE per run, over the closed universe: churn patches
-    // mutate letters and tombstones inside the fixed CSR layout
-    // (`csr_offset` never changes — crash/restart/edge events rewrite
-    // slots, not the slot *map*), so the slot-balanced bounds stay
-    // valid and identically balanced across every boundary. No
-    // per-epoch re-plan exists to amortize; `tests/stealing.rs` pins
-    // the bounds' churn-invariance.
-    let plan = ShardPlan::new(universe, policy.resolve_workers());
-    let workers = plan.workers();
-    let mut buffers: Vec<DeliveryBuffer> =
-        (0..workers).map(|_| DeliveryBuffer::new(workers)).collect();
-    let mut obs: Vec<ObsVec> = (0..workers).map(|_| ObsVec::zeroed(sigma)).collect();
-    let mut witnesses: Vec<St::Witness> = (0..workers).map(|_| St::Witness::default()).collect();
-
-    match (policy.resolve_round(), policy.resolve_scheduler()) {
-        (RoundMode::Joined, ChunkScheduler::Stealing) => {
-            let chunks = ChunkPlan::new(universe, &plan);
-            for round in start + 1..=max_rounds {
-                let ports = planes.read();
-                let live = ctl.live();
-                let fctx = faults.ctx;
-                let results: Vec<StealYield<St::Witness>> = {
-                    let deques = seed_deques(&chunks, workers, &mut *states, &mut *rngs);
-                    let deques = &deques;
-                    std::thread::scope(|scope| {
-                        let handles: Vec<_> = buffers
-                            .iter_mut()
-                            .zip(obs.iter_mut())
-                            .enumerate()
-                            .map(|(w, (buffer, obs))| {
-                                let plan = &plan;
-                                scope.spawn(move || {
-                                    buffer.clear();
-                                    let mut sink = ShardedSink { buffer, plan };
-                                    let mut ftally = FaultSummary::default();
-                                    let mut fsink =
-                                        FaultSink::wrap(&mut sink, fctx, round, &mut ftally);
-                                    let mut delta = 0isize;
-                                    let mut wits = Vec::new();
-                                    let (mut nsteals, mut nchunks) = (0u64, 0u64);
-                                    while let Some((task, stolen)) = next_task(w, deques) {
-                                        nchunks += 1;
-                                        nsteals += stolen as u64;
-                                        let StealTask {
-                                            index,
-                                            base,
-                                            states: state_c,
-                                            rngs: rng_c,
-                                            ..
-                                        } = task;
-                                        let mut wit = St::Witness::default();
-                                        for i in 0..state_c.len() {
-                                            if !live[base + i] {
-                                                continue;
-                                            }
-                                            delta += node_round(
-                                                step,
-                                                universe,
-                                                ports,
-                                                round,
-                                                base + i,
-                                                &mut state_c[i],
-                                                &mut rng_c[i],
-                                                obs,
-                                                &mut fsink,
-                                                &mut wit,
-                                            );
-                                        }
-                                        wits.push((index, wit));
-                                    }
-                                    (delta, ftally, wits, nsteals, nchunks)
-                                })
-                            })
-                            .collect();
-                        handles.into_iter().map(|h| h.join().unwrap()).collect()
-                    })
-                };
-                absorb_steal_yields::<St>(results, &mut undecided, faults, witness, steals);
-                sent += buffers.iter().map(|b| b.sent).sum::<u64>();
-                parbuf::merge(policy.merge, planes.write(), universe, &plan, &buffers);
-                planes.advance();
-                ctl.boundary(
-                    universe,
-                    round,
-                    step,
-                    inputs,
-                    states,
-                    &mut undecided,
-                    planes.write(),
-                );
-                observer.on_round_end(round, states);
-                if undecided == 0 && ctl.exhausted() {
-                    return RoundEnd::Done {
-                        rounds: round,
-                        sent,
-                    };
-                }
-                boundary_checkpoint::<St, _>(
-                    plumb,
-                    round,
-                    sent,
-                    undecided,
-                    planes,
-                    states,
-                    rngs,
-                    witness,
-                    Some(ctl.cursor()),
-                    faults.capture(),
-                    observer,
-                );
-            }
-        }
-        (RoundMode::Fused, ChunkScheduler::Stealing) => {
-            let chunks = ChunkPlan::new(universe, &plan);
-            let mut landing = buffers;
-            let mut filling: Vec<DeliveryBuffer> =
-                (0..workers).map(|_| DeliveryBuffer::new(workers)).collect();
-            for round in start + 1..=max_rounds {
-                let shard_cells: Vec<_> = planes
-                    .epoch_shards(universe, plan.bounds())
-                    .into_iter()
-                    .map(std::sync::RwLock::new)
-                    .collect();
-                let shard_cells = &shard_cells;
-                let barrier = std::sync::Barrier::new(workers);
-                let barrier = &barrier;
-                let landing_ref = &landing;
-                let live = ctl.live();
-                let fctx = faults.ctx;
-                let results: Vec<StealYield<St::Witness>> = {
-                    let deques = seed_deques(&chunks, workers, &mut *states, &mut *rngs);
-                    let deques = &deques;
-                    std::thread::scope(|scope| {
-                        let handles: Vec<_> = filling
-                            .iter_mut()
-                            .zip(obs.iter_mut())
-                            .enumerate()
-                            .map(|(w, (buffer, obs))| {
-                                let plan = &plan;
-                                scope.spawn(move || {
-                                    {
-                                        let mut shard = shard_cells[w].write().unwrap();
-                                        for prev in landing_ref {
-                                            for wr in prev.bucket(w) {
-                                                shard.land(
-                                                    wr.node as usize,
-                                                    wr.slot as usize,
-                                                    wr.letter,
-                                                );
-                                            }
-                                        }
-                                        shard.freeze();
-                                    }
-                                    barrier.wait();
-                                    buffer.clear();
-                                    let mut sink = ShardedSink { buffer, plan };
-                                    let mut ftally = FaultSummary::default();
-                                    let mut fsink =
-                                        FaultSink::wrap(&mut sink, fctx, round, &mut ftally);
-                                    let mut delta = 0isize;
-                                    let mut wits = Vec::new();
-                                    let (mut nsteals, mut nchunks) = (0u64, 0u64);
-                                    while let Some((task, stolen)) = next_task(w, deques) {
-                                        nchunks += 1;
-                                        nsteals += stolen as u64;
-                                        let StealTask {
-                                            index,
-                                            base,
-                                            shard: task_shard,
-                                            states: state_c,
-                                            rngs: rng_c,
-                                        } = task;
-                                        let shard = shard_cells[task_shard].read().unwrap();
-                                        let mut wit = St::Witness::default();
-                                        for i in 0..state_c.len() {
-                                            if !live[base + i] {
-                                                continue;
-                                            }
-                                            delta += node_round(
-                                                step,
-                                                universe,
-                                                &*shard,
-                                                round,
-                                                base + i,
-                                                &mut state_c[i],
-                                                &mut rng_c[i],
-                                                obs,
-                                                &mut fsink,
-                                                &mut wit,
-                                            );
-                                        }
-                                        wits.push((index, wit));
-                                    }
-                                    (delta, ftally, wits, nsteals, nchunks)
-                                })
-                            })
-                            .collect();
-                        handles.into_iter().map(|h| h.join().unwrap()).collect()
-                    })
-                };
-                planes.advance();
-                std::mem::swap(&mut landing, &mut filling);
-                absorb_steal_yields::<St>(results, &mut undecided, faults, witness, steals);
-                sent += landing.iter().map(|b| b.sent).sum::<u64>();
-                if ctl.has_pending(round) {
-                    // Flush-before-patch, exactly as the static fused arm.
-                    let ports = planes.write();
-                    for ci in 0..workers {
-                        for prev in &landing {
-                            for w in prev.bucket(ci) {
-                                ports.deliver(w.node as usize, w.slot as usize, w.letter);
-                            }
-                        }
-                    }
-                    for b in landing.iter_mut() {
-                        b.clear();
-                    }
-                    ctl.boundary(universe, round, step, inputs, states, &mut undecided, ports);
-                }
-                observer.on_round_end(round, states);
-                if undecided == 0 && ctl.exhausted() {
-                    return RoundEnd::Done {
-                        rounds: round,
-                        sent,
-                    };
-                }
-                if plumb.every > 0 && round % plumb.every == 0 {
-                    {
-                        let ports = planes.write();
-                        for ci in 0..workers {
-                            for prev in &landing {
-                                for w in prev.bucket(ci) {
-                                    ports.deliver(w.node as usize, w.slot as usize, w.letter);
-                                }
-                            }
-                        }
-                    }
-                    for b in landing.iter_mut() {
-                        b.clear();
-                    }
-                    boundary_checkpoint::<St, _>(
-                        plumb,
-                        round,
-                        sent,
-                        undecided,
-                        planes,
-                        states,
-                        rngs,
-                        witness,
-                        Some(ctl.cursor()),
-                        faults.capture(),
-                        observer,
-                    );
-                }
-            }
-        }
-        (RoundMode::Joined, ChunkScheduler::Static) => {
-            for round in start + 1..=max_rounds {
-                let ports = planes.read();
-                let live = ctl.live();
-                let fctx = faults.ctx;
-                let results: Vec<(isize, FaultSummary)> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = plan
-                        .chunks_mut(&mut *states)
-                        .into_iter()
-                        .zip(plan.chunks_mut(&mut *rngs))
-                        .zip(buffers.iter_mut())
-                        .zip(obs.iter_mut())
-                        .zip(witnesses.iter_mut())
-                        .enumerate()
-                        .map(|(ci, ((((state_c, rng_c), buffer), obs), wit))| {
-                            let base = plan.bounds()[ci];
-                            let plan = &plan;
-                            scope.spawn(move || {
-                                buffer.clear();
-                                let mut sink = ShardedSink { buffer, plan };
-                                let mut ftally = FaultSummary::default();
-                                let mut fsink =
-                                    FaultSink::wrap(&mut sink, fctx, round, &mut ftally);
-                                let mut delta = 0isize;
-                                for i in 0..state_c.len() {
-                                    if !live[base + i] {
-                                        continue;
-                                    }
-                                    delta += node_round(
-                                        step,
-                                        universe,
-                                        ports,
-                                        round,
-                                        base + i,
-                                        &mut state_c[i],
-                                        &mut rng_c[i],
-                                        obs,
-                                        &mut fsink,
-                                        wit,
-                                    );
-                                }
-                                (delta, ftally)
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().unwrap()).collect()
-                });
-                undecided += results.iter().map(|&(d, _)| d).sum::<isize>();
-                for (_, t) in &results {
-                    faults.absorb(t);
-                }
-                sent += buffers.iter().map(|b| b.sent).sum::<u64>();
-                for w in witnesses.iter_mut() {
-                    St::absorb(witness, w);
-                }
-                parbuf::merge(policy.merge, planes.write(), universe, &plan, &buffers);
-                planes.advance();
-                ctl.boundary(
-                    universe,
-                    round,
-                    step,
-                    inputs,
-                    states,
-                    &mut undecided,
-                    planes.write(),
-                );
-                observer.on_round_end(round, states);
-                if undecided == 0 && ctl.exhausted() {
-                    return RoundEnd::Done {
-                        rounds: round,
-                        sent,
-                    };
-                }
-                boundary_checkpoint::<St, _>(
-                    plumb,
-                    round,
-                    sent,
-                    undecided,
-                    planes,
-                    states,
-                    rngs,
-                    witness,
-                    Some(ctl.cursor()),
-                    faults.capture(),
-                    observer,
-                );
-            }
-        }
-        (RoundMode::Fused, ChunkScheduler::Static) => {
-            let mut landing = buffers;
-            let mut filling: Vec<DeliveryBuffer> =
-                (0..workers).map(|_| DeliveryBuffer::new(workers)).collect();
-            for round in start + 1..=max_rounds {
-                let shards = planes.epoch_shards(universe, plan.bounds());
-                let landing_ref = &landing;
-                let live = ctl.live();
-                let fctx = faults.ctx;
-                let results: Vec<(isize, FaultSummary)> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = shards
-                        .into_iter()
-                        .zip(plan.chunks_mut(&mut *states))
-                        .zip(plan.chunks_mut(&mut *rngs))
-                        .zip(filling.iter_mut())
-                        .zip(obs.iter_mut())
-                        .zip(witnesses.iter_mut())
-                        .enumerate()
-                        .map(
-                            |(ci, (((((mut shard, state_c), rng_c), buffer), obs), wit))| {
-                                let base = plan.bounds()[ci];
-                                let plan = &plan;
-                                scope.spawn(move || {
-                                    for prev in landing_ref {
-                                        for w in prev.bucket(ci) {
-                                            shard.land(w.node as usize, w.slot as usize, w.letter);
-                                        }
-                                    }
-                                    shard.freeze();
-                                    buffer.clear();
-                                    let mut sink = ShardedSink { buffer, plan };
-                                    let mut ftally = FaultSummary::default();
-                                    let mut fsink =
-                                        FaultSink::wrap(&mut sink, fctx, round, &mut ftally);
-                                    let mut delta = 0isize;
-                                    for i in 0..state_c.len() {
-                                        if !live[base + i] {
-                                            continue;
-                                        }
-                                        delta += node_round(
-                                            step,
-                                            universe,
-                                            &shard,
-                                            round,
-                                            base + i,
-                                            &mut state_c[i],
-                                            &mut rng_c[i],
-                                            obs,
-                                            &mut fsink,
-                                            wit,
-                                        );
-                                    }
-                                    (delta, ftally)
-                                })
-                            },
-                        )
-                        .collect();
-                    handles.into_iter().map(|h| h.join().unwrap()).collect()
-                });
-                planes.advance();
-                std::mem::swap(&mut landing, &mut filling);
-                undecided += results.iter().map(|&(d, _)| d).sum::<isize>();
-                for (_, t) in &results {
-                    faults.absorb(t);
-                }
-                sent += landing.iter().map(|b| b.sent).sum::<u64>();
-                for w in witnesses.iter_mut() {
-                    St::absorb(witness, w);
-                }
-                if ctl.has_pending(round) {
-                    // Flush the deferred phase 2b of this round before
-                    // patching: land each buffer's buckets in the fixed
-                    // shard-major worker order the next scope would have
-                    // used, then clear so that scope lands nothing.
-                    let ports = planes.write();
-                    for ci in 0..workers {
-                        for prev in &landing {
-                            for w in prev.bucket(ci) {
-                                ports.deliver(w.node as usize, w.slot as usize, w.letter);
-                            }
-                        }
-                    }
-                    for b in landing.iter_mut() {
-                        b.clear();
-                    }
-                    ctl.boundary(universe, round, step, inputs, states, &mut undecided, ports);
-                }
-                observer.on_round_end(round, states);
-                if undecided == 0 && ctl.exhausted() {
-                    return RoundEnd::Done {
-                        rounds: round,
-                        sent,
-                    };
-                }
-                if plumb.every > 0 && round % plumb.every == 0 {
-                    // Commit the deferred phase 2b before capturing, the
-                    // same flush-and-clear a churn boundary performs (a
-                    // no-op if one just did): the snapshot must hold the
-                    // complete end-of-round store.
-                    {
-                        let ports = planes.write();
-                        for ci in 0..workers {
-                            for prev in &landing {
-                                for w in prev.bucket(ci) {
-                                    ports.deliver(w.node as usize, w.slot as usize, w.letter);
-                                }
-                            }
-                        }
-                    }
-                    for b in landing.iter_mut() {
-                        b.clear();
-                    }
-                    boundary_checkpoint::<St, _>(
-                        plumb,
-                        round,
-                        sent,
-                        undecided,
-                        planes,
-                        states,
-                        rngs,
-                        witness,
-                        Some(ctl.cursor()),
-                        faults.capture(),
-                        observer,
-                    );
-                }
-            }
-        }
-    }
-    RoundEnd::Limit {
-        limit: max_rounds,
-        unfinished: undecided as usize,
-    }
-}
-
-/// Decodes the terminal states of a churn run: live nodes report their
-/// protocol output (termination guarantees they are decided); dead nodes
-/// report the output they had decided before crashing, or
-/// [`DEAD_OUTPUT`] if they crashed undecided.
-fn churn_outputs<S>(
-    states: &[S],
-    live: &[bool],
-    mut output: impl FnMut(&S) -> Option<u64>,
-) -> Vec<u64> {
-    states
-        .iter()
-        .zip(live)
-        .map(|(q, &l)| {
-            if l {
-                output(q).expect("live nodes are decided at termination")
-            } else {
-                output(q).unwrap_or(DEAD_OUTPUT)
-            }
-        })
-        .collect()
-}
-
-/// Shared start-or-resume path of the four churn executors: fresh
-/// engine state (with the extra-edge setup patches applied) on a plain
-/// start, or the snapshot splice — store, states, RNG streams, witness
-/// transcript, churn cursor — on resume. On resume [`ChurnCtl::setup`]
-/// is skipped (the restored store already reflects the setup patches and
-/// every boundary up to the snapshot round) and the controller is
-/// fast-forwarded to the snapshot's cursor instead. A snapshot without a
-/// churn cursor, or with the wrong witness kind for the backend, is
-/// rejected as a body-kind mismatch.
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
-fn churn_start<S>(
-    universe: &Graph,
-    sigma: usize,
-    sigma0: Letter,
-    initial: impl FnOnce() -> Vec<S>,
-    seed: impl FnOnce(usize) -> Vec<SmallRng>,
-    ctl: &mut ChurnCtl<'_>,
-    snap: &SnapArgs<'_, S>,
-    scoped: bool,
-    faulted: bool,
-) -> Result<
-    (
-        Vec<S>,
-        PortPlanes,
-        Vec<SmallRng>,
-        Vec<ScopedDelivery>,
-        SnapPlumb<S>,
-        FaultSummary,
-    ),
-    ExecError,
-> {
-    match snap.resume {
-        Some(s) => {
-            let splice = snapshot::resume_lockstep(s, &snap.codec(), universe, sigma)?;
-            let Some(cursor) = splice.churn_next else {
-                return Err(ExecError::Snapshot(SnapshotError::DigestMismatch {
-                    field: "snapshot body kind",
-                }));
-            };
-            let witness = match (scoped, splice.witness) {
-                (true, Some(w)) => w,
-                (false, None) => Vec::new(),
-                _ => {
-                    return Err(ExecError::Snapshot(SnapshotError::DigestMismatch {
-                        field: "snapshot body kind",
-                    }))
-                }
-            };
-            if splice.faults.is_some() != faulted {
-                return Err(ExecError::Snapshot(SnapshotError::DigestMismatch {
-                    field: "snapshot body kind",
-                }));
-            }
-            ctl.fast_forward(universe, cursor)?;
-            Ok((
-                splice.states,
-                splice.planes,
-                splice.rngs,
-                witness,
-                SnapPlumb::from_args(snap, Some(splice.point)),
-                splice.faults.unwrap_or_default(),
-            ))
-        }
-        None => {
-            let mut planes = PortPlanes::new(universe, sigma, sigma0);
-            ctl.setup(planes.write());
-            Ok((
-                initial(),
-                planes,
-                seed(universe.node_count()),
-                Vec::new(),
-                SnapPlumb::from_args(snap, None),
-                FaultSummary::default(),
-            ))
-        }
-    }
-}
-
-/// The serial sync engine under a churn plan: the exact
-/// [`crate::sync_exec::exec_sync`] pipeline with the churn controller
-/// spliced into the round boundaries.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_sync_churn<P, O>(
-    protocol: &P,
-    base: &Graph,
-    inputs: &[usize],
-    config: &SyncConfig,
-    plan: &ChurnPlan,
-    observer: &mut O,
-    snap: &SnapArgs<'_, P::State>,
-    faults: FaultsArg<'_>,
-) -> Result<(SyncOutcome, Vec<P::State>, ChurnSummary), ExecError>
-where
-    P: MultiFsm,
-    O: SyncObserver<P::State>,
-{
-    let universe = plan.universe(base).map_err(plan_config)?;
-    let n = universe.node_count();
-    debug_assert_eq!(inputs.len(), n, "the builder validates input length");
-    let (fctx, fout) = compile_faults(faults, &universe, protocol.alphabet().len())?;
-    let mut ctl = ChurnCtl::new(plan, base, &universe, protocol.initial_letter())?;
-    let (mut states, mut planes, mut rngs, _, plumb, tally) = churn_start(
-        &universe,
-        protocol.alphabet().len(),
-        protocol.initial_letter(),
-        || inputs.iter().map(|&i| protocol.initial_state(i)).collect(),
-        |n| seed_rngs(n, config.seed),
-        &mut ctl,
-        snap,
-        false,
-        fctx.is_some(),
-    )?;
-    let mut layer = FaultLayer::new(fctx.as_ref(), tally);
-    let end = run_serial_churn(
-        &SyncStep(protocol),
-        &universe,
-        &mut planes,
-        &mut states,
-        &mut rngs,
-        inputs,
-        &mut ctl,
-        config.max_rounds,
-        observer,
-        &mut (),
-        &plumb,
-        &mut layer,
-    );
-    if let Some(out) = fout {
-        *out = Some(layer.tally);
-    }
-    sync_churn_end(protocol, states, end, ctl.finish())
-}
-
-/// The parallel twin of [`exec_sync_churn`], bit-identical to it for
-/// every seed, policy, worker count, and round mode.
-#[cfg(feature = "parallel")]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_sync_churn_parallel<P, O>(
-    protocol: &P,
-    base: &Graph,
-    inputs: &[usize],
-    config: &SyncConfig,
-    plan: &ChurnPlan,
-    policy: &ParallelPolicy,
-    observer: &mut O,
-    snap: &SnapArgs<'_, P::State>,
-    faults: FaultsArg<'_>,
-    steals: &mut StealStats,
-) -> Result<(SyncOutcome, Vec<P::State>, ChurnSummary), ExecError>
-where
-    P: MultiFsm + Sync,
-    P::State: Send + Sync,
-    O: SyncObserver<P::State>,
-{
-    let universe = plan.universe(base).map_err(plan_config)?;
-    let n = universe.node_count();
-    debug_assert_eq!(inputs.len(), n, "the builder validates input length");
-    let (fctx, fout) = compile_faults(faults, &universe, protocol.alphabet().len())?;
-    let mut ctl = ChurnCtl::new(plan, base, &universe, protocol.initial_letter())?;
-    let (mut states, mut planes, mut rngs, _, plumb, tally) = churn_start(
-        &universe,
-        protocol.alphabet().len(),
-        protocol.initial_letter(),
-        || inputs.iter().map(|&i| protocol.initial_state(i)).collect(),
-        |n| seed_rngs(n, config.seed),
-        &mut ctl,
-        snap,
-        false,
-        fctx.is_some(),
-    )?;
-    let mut layer = FaultLayer::new(fctx.as_ref(), tally);
-    let end = run_parallel_churn(
-        &SyncStep(protocol),
-        &universe,
-        &mut planes,
-        &mut states,
-        &mut rngs,
-        inputs,
-        &mut ctl,
-        policy,
-        config.max_rounds,
-        observer,
-        &mut (),
-        &plumb,
-        &mut layer,
-        steals,
-    );
-    if let Some(out) = fout {
-        *out = Some(layer.tally);
-    }
-    sync_churn_end(protocol, states, end, ctl.finish())
-}
-
-/// The serial scoped engine under a churn plan.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_scoped_churn<P, O>(
-    protocol: &P,
-    base: &Graph,
-    inputs: &[usize],
-    seed: u64,
-    max_rounds: u64,
-    plan: &ChurnPlan,
-    observer: &mut O,
-    snap: &SnapArgs<'_, P::State>,
-    faults: FaultsArg<'_>,
-) -> Result<(ScopedOutcome, Vec<P::State>, ChurnSummary), ExecError>
-where
-    P: ScopedMultiFsm,
-    O: SyncObserver<P::State>,
-{
-    let universe = plan.universe(base).map_err(plan_config)?;
-    let n = universe.node_count();
-    debug_assert_eq!(inputs.len(), n, "the builder validates input length");
-    let (fctx, fout) = compile_faults(faults, &universe, protocol.alphabet().len())?;
-    let mut ctl = ChurnCtl::new(plan, base, &universe, protocol.initial_letter())?;
-    let (mut states, mut planes, mut rngs, mut scoped_deliveries, plumb, tally) = churn_start(
-        &universe,
-        protocol.alphabet().len(),
-        protocol.initial_letter(),
-        || inputs.iter().map(|&i| protocol.initial_state(i)).collect(),
-        |n| scoped_rngs(n, seed),
-        &mut ctl,
-        snap,
-        true,
-        fctx.is_some(),
-    )?;
-    let mut layer = FaultLayer::new(fctx.as_ref(), tally);
-    let end = run_serial_churn(
-        &ScopedStep(protocol),
-        &universe,
-        &mut planes,
-        &mut states,
-        &mut rngs,
-        inputs,
-        &mut ctl,
-        max_rounds,
-        observer,
-        &mut scoped_deliveries,
-        &plumb,
-        &mut layer,
-    );
-    if let Some(out) = fout {
-        *out = Some(layer.tally);
-    }
-    scoped_churn_end(protocol, states, scoped_deliveries, end, ctl.finish())
-}
-
-/// The parallel twin of [`exec_scoped_churn`].
-#[cfg(feature = "parallel")]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_scoped_churn_parallel<P, O>(
-    protocol: &P,
-    base: &Graph,
-    inputs: &[usize],
-    seed: u64,
-    max_rounds: u64,
-    plan: &ChurnPlan,
-    policy: &ParallelPolicy,
-    observer: &mut O,
-    snap: &SnapArgs<'_, P::State>,
-    faults: FaultsArg<'_>,
-    steals: &mut StealStats,
-) -> Result<(ScopedOutcome, Vec<P::State>, ChurnSummary), ExecError>
-where
-    P: ScopedMultiFsm + Sync,
-    P::State: Send + Sync,
-    O: SyncObserver<P::State>,
-{
-    let universe = plan.universe(base).map_err(plan_config)?;
-    let n = universe.node_count();
-    debug_assert_eq!(inputs.len(), n, "the builder validates input length");
-    let (fctx, fout) = compile_faults(faults, &universe, protocol.alphabet().len())?;
-    let mut ctl = ChurnCtl::new(plan, base, &universe, protocol.initial_letter())?;
-    let (mut states, mut planes, mut rngs, mut scoped_deliveries, plumb, tally) = churn_start(
-        &universe,
-        protocol.alphabet().len(),
-        protocol.initial_letter(),
-        || inputs.iter().map(|&i| protocol.initial_state(i)).collect(),
-        |n| scoped_rngs(n, seed),
-        &mut ctl,
-        snap,
-        true,
-        fctx.is_some(),
-    )?;
-    let mut layer = FaultLayer::new(fctx.as_ref(), tally);
-    let end = run_parallel_churn(
-        &ScopedStep(protocol),
-        &universe,
-        &mut planes,
-        &mut states,
-        &mut rngs,
-        inputs,
-        &mut ctl,
-        policy,
-        max_rounds,
-        observer,
-        &mut scoped_deliveries,
-        &plumb,
-        &mut layer,
-        steals,
-    );
-    if let Some(out) = fout {
-        *out = Some(layer.tally);
-    }
-    scoped_churn_end(protocol, states, scoped_deliveries, end, ctl.finish())
-}
-
-fn plan_config(e: TopologyError) -> ExecError {
+/// A malformed churn plan as the typed configuration error every
+/// entry point reports.
+pub(crate) fn plan_config(e: TopologyError) -> ExecError {
     ExecError::Config {
         reason: format!("churn plan: {e}"),
-    }
-}
-
-fn sync_churn_end<P: MultiFsm>(
-    protocol: &P,
-    states: Vec<P::State>,
-    end: RoundEnd,
-    summary: ChurnSummary,
-) -> Result<(SyncOutcome, Vec<P::State>, ChurnSummary), ExecError> {
-    match end {
-        RoundEnd::Done { rounds, sent } => {
-            let outputs = churn_outputs(&states, &summary.live_nodes, |q| protocol.output(q));
-            Ok((
-                SyncOutcome {
-                    outputs,
-                    rounds,
-                    messages_sent: sent,
-                },
-                states,
-                summary,
-            ))
-        }
-        RoundEnd::Limit { limit, unfinished } => Err(ExecError::RoundLimit { limit, unfinished }),
-    }
-}
-
-fn scoped_churn_end<P: ScopedMultiFsm>(
-    protocol: &P,
-    states: Vec<P::State>,
-    scoped_deliveries: Vec<ScopedDelivery>,
-    end: RoundEnd,
-    summary: ChurnSummary,
-) -> Result<(ScopedOutcome, Vec<P::State>, ChurnSummary), ExecError> {
-    match end {
-        RoundEnd::Done { rounds, .. } => {
-            let outputs = churn_outputs(&states, &summary.live_nodes, |q| protocol.output(q));
-            Ok((
-                ScopedOutcome {
-                    outputs,
-                    rounds,
-                    scoped_deliveries,
-                },
-                states,
-                summary,
-            ))
-        }
-        RoundEnd::Limit { limit, unfinished } => Err(ExecError::RoundLimit { limit, unfinished }),
     }
 }
 
@@ -1675,25 +646,13 @@ impl<F> StabilizationObserver<F> {
     /// engine does on a malformed plan.
     pub fn new(base: &Graph, plan: &ChurnPlan, predicate: F) -> Result<Self, ExecError> {
         let universe = plan.universe(base).map_err(plan_config)?;
-        let mut replica = DynamicGraph::new(&universe);
-        let mut patches = Vec::new();
-        for &(u, v) in plan.extra_edges() {
-            if base.has_edge(u, v) {
-                continue;
-            }
-            replica
-                .apply(&universe, TopologyEvent::EdgeDelete(u, v), &mut patches)
-                .map_err(plan_config)?;
-        }
-        patches.clear();
-        let mut events = plan.events.clone();
-        events.sort_by_key(|&(r, _)| r);
+        let (replica, _, events) = prepare(plan, base, &universe)?;
         Ok(StabilizationObserver {
             universe,
             replica,
             events,
             next: 0,
-            patches,
+            patches: Vec::new(),
             predicate,
             records: Vec::new(),
         })
@@ -1733,7 +692,7 @@ where
             if self
                 .replica
                 .apply(&self.universe, ev, &mut self.patches)
-                .unwrap_or(false)
+                .expect("the plan was validated eagerly")
             {
                 self.records.push(StabilizationRecord {
                     at_round: at,
@@ -1796,6 +755,30 @@ mod tests {
         let err = ChurnCtl::new(&plan, &g, &g, Letter(0)).err().unwrap();
         assert!(matches!(err, ExecError::Config { ref reason }
             if reason.contains("not part of the universe")));
+    }
+
+    #[test]
+    fn stabilization_observer_rejects_what_the_engine_rejects() {
+        use stoneage_core::{Alphabet, AsMulti, TableProtocolBuilder, Transitions};
+        let g = generators::path(4);
+        // {0, 3} is neither a path edge nor an extra universe edge.
+        let plan = ChurnPlan::new().at(1, TopologyEvent::EdgeInsert(0, 3));
+        let observer =
+            StabilizationObserver::new(&g, &plan, |_: &Graph, _: &DynamicGraph, _: &[usize]| true);
+        let Err(observer_err) = observer else {
+            panic!("the observer accepted a plan the engine rejects");
+        };
+        assert!(matches!(observer_err, ExecError::Config { .. }));
+        let mut b = TableProtocolBuilder::new("idle", Alphabet::new(["x"]), 1, Letter(0));
+        let done = b.add_output_state("done", Letter(0), 0);
+        b.add_input_state(done);
+        b.set_transition_all(done, Transitions::det(done, None));
+        let protocol = AsMulti(b.build().unwrap());
+        let engine_err = crate::Simulation::sync(&protocol, &g)
+            .with_churn(&plan)
+            .run()
+            .expect_err("the engine rejects the plan");
+        assert_eq!(observer_err, engine_err);
     }
 
     #[test]

@@ -82,11 +82,37 @@
 //! recorded in — is repaired after the join: each chunk records into
 //! its own witness, and the chunk witnesses are absorbed in ascending
 //! chunk index (= ascending sender order, the serial transcript).
-//! Under [`RoundMode::Fused`] the per-worker plane shards live behind
-//! `RwLock`s: each worker write-locks its own shard to land + freeze
-//! it, a barrier separates landing from observation, and tasks then
-//! read-lock the (frozen) shard their senders live in — a task only
-//! ever reads its own shard, so the locks never contend with writers.
+//! Under [`crate::parbuf::RoundMode::Fused`] the per-worker plane
+//! shards live behind `RwLock`s: each worker write-locks its own shard
+//! to land + freeze it, a barrier separates landing from observation,
+//! and tasks then read-lock the (frozen) shard their senders live in —
+//! a task only ever reads its own shard, so the locks never contend
+//! with writers.
+//!
+//! # Boundary hooks
+//!
+//! Everything that happens *between* two rounds is a hook of this one
+//! loop, run in a fixed order after the round's deliveries have landed
+//! and the epoch has flipped:
+//!
+//! * **churn** — with a churn controller attached, the topology events
+//!   due at this boundary patch the store and the live-node set; the
+//!   next round skips dead nodes without touching their RNG streams.
+//!   Round-0 events apply before the first round of a fresh run. A
+//!   churn-free run attaches nothing, and an empty plan is the no-op
+//!   hook (see [`crate::churn`]).
+//! * **observer** — `on_round_end` sees the post-boundary states.
+//! * **termination** — the run ends once no node is undecided and no
+//!   churn event is left.
+//! * **checkpoint** — on the snapshot cadence the complete store, the
+//!   churn cursor, and the fault tally are captured (never on a terminal
+//!   round).
+//!
+//! Message faults act on the delivery path *inside* a round (the
+//! [`crate::faults`] sink wraps every schedule's delivery sink); the
+//! boundary only captures their tally. Under the fused schedule a
+//! round's phase 2b is still deferred when the hooks run, so the churn
+//! patch and the checkpoint capture first flush it onto the store.
 //!
 //! # Scratch reuse
 //!
@@ -98,21 +124,22 @@
 //! round).
 
 use rand::rngs::SmallRng;
-use stoneage_core::{Letter, ObsVec};
+use stoneage_core::{Letter, ObsVec, Protocol};
 use stoneage_graph::{Graph, NodeId};
 
+use crate::churn::{plan_config, ChurnCtl, ChurnPlan, ChurnSummary, DEAD_OUTPUT};
 use crate::engine::{FlatPorts, PlaneShard, PortPlanes};
 #[cfg(feature = "parallel")]
 use crate::faults::FaultSink;
-use crate::faults::{FaultLayer, FaultSummary};
+use crate::faults::{FaultLayer, FaultSummary, FaultsArg};
 #[cfg(feature = "parallel")]
-use crate::parbuf::{
-    self, ChunkPlan, ChunkScheduler, DeliveryBuffer, ParallelPolicy, RoundMode, ShardPlan,
-    StealStats,
-};
+use crate::parbuf::{self, ChunkPlan, ChunkScheduler, DeliveryBuffer, RoundMode, ShardPlan};
+use crate::parbuf::{ParallelPolicy, StealStats};
 use crate::scoped::ScopedDelivery;
-use crate::snapshot::{encode_lockstep, LockstepCapture, SnapPlumb};
-use crate::sync_exec::SyncObserver;
+use crate::sim::{Bridge, ObsArg};
+use crate::snapshot::{self, encode_lockstep, LockstepCapture, SnapArgs, SnapPlumb, SnapshotError};
+use crate::sync_exec::{compile_faults, SyncConfig, SyncObserver};
+use crate::ExecError;
 
 /// Read access to a frozen plane: the observation surface phase 1 and
 /// the scoped target draws run against. Implemented by the whole-store
@@ -178,13 +205,13 @@ pub(crate) trait DeliverySink {
 /// buffer replayed onto the write plane at the end of the round
 /// ([`PortPlanes::land_serial`]). Cleared and reused across rounds.
 #[derive(Default)]
-pub(crate) struct SerialWrites {
-    pub(crate) writes: Vec<(u32, u32, Letter)>,
-    pub(crate) sent: u64,
+struct SerialWrites {
+    writes: Vec<(u32, u32, Letter)>,
+    sent: u64,
 }
 
 impl SerialWrites {
-    pub(crate) fn begin_round(&mut self) {
+    fn begin_round(&mut self) {
         self.writes.clear();
         self.sent = 0;
     }
@@ -214,9 +241,9 @@ impl DeliverySink for SerialWrites {
 /// The parallel delivery strategy: a worker-private [`DeliveryBuffer`]
 /// bucketed by destination shard.
 #[cfg(feature = "parallel")]
-pub(crate) struct ShardedSink<'a> {
-    pub(crate) buffer: &'a mut DeliveryBuffer,
-    pub(crate) plan: &'a ShardPlan,
+struct ShardedSink<'a> {
+    buffer: &'a mut DeliveryBuffer,
+    plan: &'a ShardPlan,
 }
 
 #[cfg(feature = "parallel")]
@@ -255,7 +282,7 @@ pub(crate) trait RoundStep {
     fn decided(&self, q: &Self::State) -> bool;
     /// The state a crashed node is reborn into when a churn plan
     /// restarts it (delegates to `Protocol::restart_state`; only the
-    /// churn drivers call this).
+    /// churn boundary hook, [`ChurnCtl::boundary`], calls this).
     fn restart_state(&self, input: usize) -> Self::State;
     /// Phase 1 of one node: transition from the frozen observation,
     /// consuming the node's RNG stream exactly as the legacy engines
@@ -292,10 +319,14 @@ pub(crate) trait RoundStep {
     /// records one — serialized into boundary snapshots and restored on
     /// resume (`None` for plain sync, whose witness is `()`).
     fn witness_slice(witness: &Self::Witness) -> Option<&[ScopedDelivery]>;
+    /// The inverse of [`RoundStep::witness_slice`] on resume: the
+    /// witness rebuilt from a snapshot's transcript, or `None` when the
+    /// snapshot's witness kind does not match this flavor.
+    fn restore_witness(restored: Option<Vec<ScopedDelivery>>) -> Option<Self::Witness>;
 }
 
 /// Why a pipeline run ended.
-pub(crate) enum RoundEnd {
+enum RoundEnd {
     /// Every node reached an output state after `rounds` rounds.
     Done {
         /// Rounds until the first output configuration.
@@ -312,51 +343,134 @@ pub(crate) enum RoundEnd {
     },
 }
 
-/// Emits a boundary checkpoint to the observer when the plumbing's
-/// cadence lands on `round`. Called by every lockstep schedule after the
-/// round has fully committed — deliveries landed, epoch flipped, witness
-/// absorbed, `on_round_end` delivered — and only when the run continues:
-/// a terminal round is never checkpointed (the run is over; there is
-/// nothing to resume).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn boundary_checkpoint<St, O>(
+/// The churn boundary hook of one run: the run's [`ChurnCtl`] and the
+/// per-node inputs restarted nodes reboot from. `None` is a churn-free
+/// run.
+type ChurnHook<'a, 'p> = Option<(&'a mut ChurnCtl<'p>, &'a [usize])>;
+
+/// Where a run's round loop starts: the resume point's counters, or, on
+/// a fresh start, round 0 after the round-0 churn boundary (a resumed
+/// store already holds every boundary up to its round). `None` when a
+/// fresh run has nothing to do: every node is decided and no churn event
+/// is left.
+fn begin<St: RoundStep>(
+    step: &St,
+    graph: &Graph,
+    planes: &mut PortPlanes,
+    states: &mut [St::State],
     plumb: &SnapPlumb<St::State>,
+    churn: &mut ChurnHook<'_, '_>,
+) -> Option<(u64, u64, isize)> {
+    if let Some(r) = &plumb.resume {
+        return Some((r.round, r.sent, r.undecided as isize));
+    }
+    let mut undecided = states.iter().filter(|q| !step.decided(q)).count() as isize;
+    if let Some((ctl, inputs)) = churn {
+        ctl.boundary(
+            graph,
+            0,
+            step,
+            inputs,
+            states,
+            &mut undecided,
+            planes.write(),
+        );
+    }
+    let done = undecided == 0 && churn.as_ref().is_none_or(|(ctl, _)| ctl.exhausted());
+    (!done).then_some((0, 0, undecided))
+}
+
+/// Closes round `round` through the boundary hooks, in the order every
+/// schedule shares: the churn patch, `on_round_end`, the termination
+/// test, then a due checkpoint. `flush` lands the writes a fused
+/// schedule still defers (a no-op elsewhere); it runs before the churn
+/// patch and before the capture, which both need the complete
+/// end-of-round store (flush-before-patch is load-bearing: see the
+/// [`crate::churn`] docs). Returns `true` once the run is over: a
+/// terminal round is never checkpointed (there is nothing to resume).
+#[allow(clippy::too_many_arguments)]
+fn close_round<St, O>(
+    step: &St,
+    graph: &Graph,
     round: u64,
     sent: u64,
-    undecided: isize,
-    planes: &PortPlanes,
-    states: &[St::State],
+    undecided: &mut isize,
+    planes: &mut PortPlanes,
+    states: &mut [St::State],
     rngs: &[SmallRng],
     witness: &St::Witness,
-    churn_next: Option<u64>,
-    faults: Option<FaultSummary>,
+    plumb: &SnapPlumb<St::State>,
+    faults: &FaultLayer<'_>,
+    churn: &mut ChurnHook<'_, '_>,
     observer: &mut O,
-) where
+    mut flush: impl FnMut(&mut FlatPorts),
+) -> bool
+where
     St: RoundStep,
     O: SyncObserver<St::State>,
 {
-    if plumb.every == 0 || !round.is_multiple_of(plumb.every) {
-        return;
+    if let Some((ctl, inputs)) = churn {
+        if ctl.has_pending(round) {
+            flush(planes.write());
+            ctl.boundary(
+                graph,
+                round,
+                step,
+                inputs,
+                states,
+                undecided,
+                planes.write(),
+            );
+        }
     }
-    let codec = plumb
-        .codec
-        .expect("active snapshot plumbing always carries a codec");
-    let snap = encode_lockstep(
-        plumb.meta,
-        &codec,
-        &LockstepCapture {
-            round,
-            sent,
-            undecided: undecided as u64,
-            planes,
-            states,
-            rngs,
-            witness: St::witness_slice(witness),
-            churn_next,
-            faults,
-        },
-    );
-    observer.on_checkpoint(&snap);
+    observer.on_round_end(round, states);
+    if *undecided == 0 && churn.as_ref().is_none_or(|(ctl, _)| ctl.exhausted()) {
+        return true;
+    }
+    if plumb.every > 0 && round.is_multiple_of(plumb.every) {
+        flush(planes.write());
+        let codec = plumb
+            .codec
+            .expect("active snapshot plumbing always carries a codec");
+        let snap = encode_lockstep(
+            plumb.meta,
+            &codec,
+            &LockstepCapture {
+                round,
+                sent,
+                undecided: *undecided as u64,
+                planes,
+                states,
+                rngs,
+                witness: St::witness_slice(witness),
+                churn_next: churn.as_ref().map(|(ctl, _)| ctl.cursor()),
+                faults: faults.capture(),
+            },
+        );
+        observer.on_checkpoint(&snap);
+    }
+    false
+}
+
+/// Runs `$body` for every index `$i` in `0..$len` whose node
+/// `$base + $i` takes this round: all of them on a churn-free run
+/// (`$live` is `None`), only the live ones under churn — a dead node
+/// takes no round and draws nothing from its RNG stream. Expands to two
+/// plain loops rather than one loop with a per-node test: the test
+/// measurably slows the churn-free serial engine.
+macro_rules! for_each_live {
+    ($i:ident in $base:expr, $len:expr, $live:expr, $body:block) => {
+        match $live {
+            None => {
+                for $i in 0..$len $body
+            }
+            Some(live) => {
+                for $i in 0..$len {
+                    if live[$base + $i] $body
+                }
+            }
+        }
+    };
 }
 
 /// Phase 1 + 2a of one node against a frozen plane; returns the
@@ -364,7 +478,7 @@ pub(crate) fn boundary_checkpoint<St, O>(
 /// round semantics — every schedule (serial, joined, fused) runs this.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-pub(crate) fn node_round<St: RoundStep, Pr: PortRead, Sk: DeliverySink>(
+fn node_round<St: RoundStep, Pr: PortRead, Sk: DeliverySink>(
     step: &St,
     graph: &Graph,
     ports: &Pr,
@@ -401,9 +515,10 @@ pub(crate) fn node_round<St: RoundStep, Pr: PortRead, Sk: DeliverySink>(
 /// (phase 1 + 2a fused per node — bit-identical to the legacy two-pass
 /// loops because every port read hits the frozen read plane and each
 /// node's RNG stream is private), then the buffered writes land on the
-/// write plane and the epoch flips.
+/// write plane, the epoch flips, and [`close_round`] runs the boundary
+/// hooks.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_serial<St, O>(
+fn run_serial<St, O>(
     step: &St,
     graph: &Graph,
     planes: &mut PortPlanes,
@@ -414,31 +529,27 @@ pub(crate) fn run_serial<St, O>(
     witness: &mut St::Witness,
     plumb: &SnapPlumb<St::State>,
     faults: &mut FaultLayer<'_>,
+    mut churn: ChurnHook<'_, '_>,
 ) -> RoundEnd
 where
     St: RoundStep,
     O: SyncObserver<St::State>,
 {
     let n = states.len();
-    let (start, mut sent, mut undecided) = match &plumb.resume {
-        Some(r) => (r.round, r.sent, r.undecided as isize),
-        None => (
-            0,
-            0,
-            states.iter().filter(|q| !step.decided(q)).count() as isize,
-        ),
+    let Some((start, mut sent, mut undecided)) =
+        begin(step, graph, planes, states, plumb, &mut churn)
+    else {
+        return RoundEnd::Done { rounds: 0, sent: 0 };
     };
-    if plumb.resume.is_none() && undecided == 0 {
-        return RoundEnd::Done { rounds: 0, sent };
-    }
     let mut obs = ObsVec::zeroed(planes.sigma());
     let mut sink = SerialWrites::default();
     for round in start + 1..=max_rounds {
         sink.begin_round();
         {
             let ports = planes.read();
+            let live = churn.as_ref().map(|(ctl, _)| ctl.live());
             let mut fsink = faults.sink(&mut sink, round);
-            for v in 0..n {
+            for_each_live!(v in 0, n, live, {
                 undecided += node_round(
                     step,
                     graph,
@@ -451,30 +562,31 @@ where
                     &mut fsink,
                     witness,
                 );
-            }
+            });
         }
         sent += sink.sent;
         planes.land_serial(&sink.writes);
-        observer.on_round_end(round, states);
-        if undecided == 0 {
+        if close_round(
+            step,
+            graph,
+            round,
+            sent,
+            &mut undecided,
+            planes,
+            states,
+            rngs,
+            witness,
+            plumb,
+            faults,
+            &mut churn,
+            observer,
+            |_| {},
+        ) {
             return RoundEnd::Done {
                 rounds: round,
                 sent,
             };
         }
-        boundary_checkpoint::<St, _>(
-            plumb,
-            round,
-            sent,
-            undecided,
-            planes,
-            states,
-            rngs,
-            witness,
-            None,
-            faults.capture(),
-            observer,
-        );
     }
     RoundEnd::Limit {
         limit: max_rounds,
@@ -487,24 +599,24 @@ where
 /// it owns. Built fresh each round (the borrows last one scope) and
 /// moved between deques; the *data* never moves.
 #[cfg(feature = "parallel")]
-pub(crate) struct StealTask<'a, S> {
+struct StealTask<'a, S> {
     /// Position in the [`ChunkPlan`] — ascending node order, the key
     /// per-chunk witnesses are re-sorted by after the join.
-    pub(crate) index: usize,
+    index: usize,
     /// First node of the chunk.
-    pub(crate) base: usize,
+    base: usize,
     /// The shard whose deque the task was seeded onto (under the fused
     /// schedule, also the plane shard its senders read).
-    pub(crate) shard: usize,
-    pub(crate) states: &'a mut [S],
-    pub(crate) rngs: &'a mut [SmallRng],
+    shard: usize,
+    states: &'a mut [S],
+    rngs: &'a mut [SmallRng],
 }
 
 /// Deals one [`StealTask`] per chunk onto the owning worker's deque, in
 /// ascending node order (so a worker drains its own shard front-to-back
 /// — the cache-friendly direction — while thieves take from the back).
 #[cfg(feature = "parallel")]
-pub(crate) fn seed_deques<'a, S>(
+fn seed_deques<'a, S>(
     chunks: &ChunkPlan,
     workers: usize,
     mut states: &'a mut [S],
@@ -534,7 +646,7 @@ pub(crate) fn seed_deques<'a, S>(
 /// steal). Returns `None` once every deque is empty; a lost race with
 /// another thief just rescans.
 #[cfg(feature = "parallel")]
-pub(crate) fn next_task<'a, S>(
+fn next_task<'a, S>(
     w: usize,
     deques: &[std::sync::Mutex<std::collections::VecDeque<StealTask<'a, S>>>],
 ) -> Option<(StealTask<'a, S>, bool)> {
@@ -563,7 +675,7 @@ pub(crate) fn next_task<'a, S>(
 /// delta, fault tally, per-chunk witnesses (keyed by chunk index for
 /// the post-join re-sort), and its steal/chunk counters.
 #[cfg(feature = "parallel")]
-pub(crate) type StealYield<W> = (isize, FaultSummary, Vec<(usize, W)>, u64, u64);
+type StealYield<W> = (isize, FaultSummary, Vec<(usize, W)>, u64, u64);
 
 /// Folds the per-worker [`StealYield`]s into the run accumulators:
 /// undecided delta, fault summaries, steal counters, and — the one
@@ -571,7 +683,7 @@ pub(crate) type StealYield<W> = (isize, FaultSummary, Vec<(usize, W)>, u64, u64)
 /// witnesses, re-sorted to ascending chunk index (= ascending sender
 /// order, the serial transcript) before absorption.
 #[cfg(feature = "parallel")]
-pub(crate) fn absorb_steal_yields<St: RoundStep>(
+fn absorb_steal_yields<St: RoundStep>(
     results: Vec<StealYield<St::Witness>>,
     undecided: &mut isize,
     faults: &mut FaultLayer<'_>,
@@ -592,6 +704,26 @@ pub(crate) fn absorb_steal_yields<St: RoundStep>(
     }
 }
 
+/// Lands a fused round's deferred phase 2b on the write plane, in the
+/// fixed shard-major worker order the next round's scope would have
+/// used, and clears the buffers so that scope lands nothing. Per-round
+/// slot uniqueness and commutative counts make the store bytes identical
+/// either way. Runs before a churn patch and before a checkpoint
+/// capture.
+#[cfg(feature = "parallel")]
+fn flush_deferred(ports: &mut FlatPorts, landing: &mut [DeliveryBuffer]) {
+    for shard in 0..landing.len() {
+        for buffer in landing.iter() {
+            for w in buffer.bucket(shard) {
+                ports.deliver(w.node as usize, w.slot as usize, w.letter);
+            }
+        }
+    }
+    for buffer in landing.iter_mut() {
+        buffer.clear();
+    }
+}
+
 /// The parallel round pipeline, scheduled per the policy's resolved
 /// [`RoundMode`]: `Joined` (phase 1 + 2a scope, join, phase-2b merge —
 /// two joins per round) or `Fused` (previous round's phase 2b landed on
@@ -601,9 +733,15 @@ pub(crate) fn absorb_steal_yields<St: RoundStep>(
 /// [`run_serial`] for every seed, worker count, merge strategy, round
 /// mode, and scheduler; only the [`StealStats`] out-param is
 /// timing-dependent.
+///
+/// The shard plan is made once per run, over the run's graph (the churn
+/// universe on churn runs): churn patches rewrite letters and tombstones
+/// inside the fixed CSR layout, never the slot map, so the
+/// slot-balanced bounds stay valid across every boundary
+/// (`tests/stealing.rs` pins this).
 #[cfg(feature = "parallel")]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_parallel<St, O>(
+fn run_parallel<St, O>(
     step: &St,
     graph: &Graph,
     planes: &mut PortPlanes,
@@ -615,6 +753,7 @@ pub(crate) fn run_parallel<St, O>(
     witness: &mut St::Witness,
     plumb: &SnapPlumb<St::State>,
     faults: &mut FaultLayer<'_>,
+    mut churn: ChurnHook<'_, '_>,
     steals: &mut StealStats,
 ) -> RoundEnd
 where
@@ -623,17 +762,11 @@ where
     St::Witness: Send,
     O: SyncObserver<St::State>,
 {
-    let (start, mut sent, mut undecided) = match &plumb.resume {
-        Some(r) => (r.round, r.sent, r.undecided as isize),
-        None => (
-            0,
-            0,
-            states.iter().filter(|q| !step.decided(q)).count() as isize,
-        ),
+    let Some((start, mut sent, mut undecided)) =
+        begin(step, graph, planes, states, plumb, &mut churn)
+    else {
+        return RoundEnd::Done { rounds: 0, sent: 0 };
     };
-    if plumb.resume.is_none() && undecided == 0 {
-        return RoundEnd::Done { rounds: 0, sent };
-    }
     let sigma = planes.sigma();
     let plan = ShardPlan::new(graph, policy.resolve_workers());
     let workers = plan.workers();
@@ -649,6 +782,7 @@ where
             let chunks = ChunkPlan::new(graph, &plan);
             for round in start + 1..=max_rounds {
                 let ports = planes.read();
+                let live = churn.as_ref().map(|(ctl, _)| ctl.live());
                 let fctx = faults.ctx;
                 let results: Vec<StealYield<St::Witness>> = {
                     let deques = seed_deques(&chunks, workers, &mut *states, &mut *rngs);
@@ -680,7 +814,7 @@ where
                                             ..
                                         } = task;
                                         let mut wit = St::Witness::default();
-                                        for i in 0..state_c.len() {
+                                        for_each_live!(i in base, state_c.len(), live, {
                                             delta += node_round(
                                                 step,
                                                 graph,
@@ -693,7 +827,7 @@ where
                                                 &mut fsink,
                                                 &mut wit,
                                             );
-                                        }
+                                        });
                                         wits.push((index, wit));
                                     }
                                     (delta, ftally, wits, nsteals, nchunks)
@@ -707,26 +841,27 @@ where
                 sent += buffers.iter().map(|b| b.sent).sum::<u64>();
                 parbuf::merge(policy.merge, planes.write(), graph, &plan, &buffers);
                 planes.advance();
-                observer.on_round_end(round, states);
-                if undecided == 0 {
+                if close_round(
+                    step,
+                    graph,
+                    round,
+                    sent,
+                    &mut undecided,
+                    planes,
+                    states,
+                    rngs,
+                    witness,
+                    plumb,
+                    faults,
+                    &mut churn,
+                    observer,
+                    |_| {},
+                ) {
                     return RoundEnd::Done {
                         rounds: round,
                         sent,
                     };
                 }
-                boundary_checkpoint::<St, _>(
-                    plumb,
-                    round,
-                    sent,
-                    undecided,
-                    planes,
-                    states,
-                    rngs,
-                    witness,
-                    None,
-                    faults.capture(),
-                    observer,
-                );
             }
         }
         (RoundMode::Fused, ChunkScheduler::Stealing) => {
@@ -748,6 +883,7 @@ where
                 let barrier = std::sync::Barrier::new(workers);
                 let barrier = &barrier;
                 let landing_ref = &landing;
+                let live = churn.as_ref().map(|(ctl, _)| ctl.live());
                 let fctx = faults.ctx;
                 let results: Vec<StealYield<St::Witness>> = {
                     let deques = seed_deques(&chunks, workers, &mut *states, &mut *rngs);
@@ -802,7 +938,7 @@ where
                                         // behind the barrier.
                                         let shard = shard_cells[task_shard].read().unwrap();
                                         let mut wit = St::Witness::default();
-                                        for i in 0..state_c.len() {
+                                        for_each_live!(i in base, state_c.len(), live, {
                                             delta += node_round(
                                                 step,
                                                 graph,
@@ -815,7 +951,7 @@ where
                                                 &mut fsink,
                                                 &mut wit,
                                             );
-                                        }
+                                        });
                                         wits.push((index, wit));
                                     }
                                     (delta, ftally, wits, nsteals, nchunks)
@@ -829,41 +965,26 @@ where
                 std::mem::swap(&mut landing, &mut filling);
                 absorb_steal_yields::<St>(results, &mut undecided, faults, witness, steals);
                 sent += landing.iter().map(|b| b.sent).sum::<u64>();
-                observer.on_round_end(round, states);
-                if undecided == 0 {
+                if close_round(
+                    step,
+                    graph,
+                    round,
+                    sent,
+                    &mut undecided,
+                    planes,
+                    states,
+                    rngs,
+                    witness,
+                    plumb,
+                    faults,
+                    &mut churn,
+                    observer,
+                    |ports| flush_deferred(ports, &mut landing),
+                ) {
                     return RoundEnd::Done {
                         rounds: round,
                         sent,
                     };
-                }
-                if plumb.every > 0 && round % plumb.every == 0 {
-                    // Same deferred-phase-2b flush as the static fused
-                    // boundary: land this round's buffers serially and
-                    // clear them so the next scope lands nothing.
-                    let ports = planes.write();
-                    for ci in 0..workers {
-                        for prev in landing.iter() {
-                            for w in prev.bucket(ci) {
-                                ports.deliver(w.node as usize, w.slot as usize, w.letter);
-                            }
-                        }
-                    }
-                    for b in landing.iter_mut() {
-                        b.clear();
-                    }
-                    boundary_checkpoint::<St, _>(
-                        plumb,
-                        round,
-                        sent,
-                        undecided,
-                        planes,
-                        states,
-                        rngs,
-                        witness,
-                        None,
-                        faults.capture(),
-                        observer,
-                    );
                 }
             }
         }
@@ -871,9 +992,11 @@ where
             for round in start + 1..=max_rounds {
                 // Phase 1 + 2a, one scope: disjoint &mut chunks over
                 // states, RNGs, buffers, and scratch; shared reads of
-                // the frozen read plane, the graph, and the fault plan
-                // (whose decisions are pure hashes — no shared state).
+                // the frozen read plane, the graph, the live set, and
+                // the fault plan (whose decisions are pure hashes — no
+                // shared state).
                 let ports = planes.read();
+                let live = churn.as_ref().map(|(ctl, _)| ctl.live());
                 let fctx = faults.ctx;
                 let results: Vec<(isize, FaultSummary)> = std::thread::scope(|scope| {
                     let handles: Vec<_> = plan
@@ -894,7 +1017,7 @@ where
                                 let mut fsink =
                                     FaultSink::wrap(&mut sink, fctx, round, &mut ftally);
                                 let mut delta = 0isize;
-                                for i in 0..state_c.len() {
+                                for_each_live!(i in base, state_c.len(), live, {
                                     delta += node_round(
                                         step,
                                         graph,
@@ -907,7 +1030,7 @@ where
                                         &mut fsink,
                                         wit,
                                     );
-                                }
+                                });
                                 (delta, ftally)
                             })
                         })
@@ -926,26 +1049,27 @@ where
                 // second join of the round under the sharded strategy).
                 parbuf::merge(policy.merge, planes.write(), graph, &plan, &buffers);
                 planes.advance();
-                observer.on_round_end(round, states);
-                if undecided == 0 {
+                if close_round(
+                    step,
+                    graph,
+                    round,
+                    sent,
+                    &mut undecided,
+                    planes,
+                    states,
+                    rngs,
+                    witness,
+                    plumb,
+                    faults,
+                    &mut churn,
+                    observer,
+                    |_| {},
+                ) {
                     return RoundEnd::Done {
                         rounds: round,
                         sent,
                     };
                 }
-                boundary_checkpoint::<St, _>(
-                    plumb,
-                    round,
-                    sent,
-                    undecided,
-                    planes,
-                    states,
-                    rngs,
-                    witness,
-                    None,
-                    faults.capture(),
-                    observer,
-                );
             }
         }
         (RoundMode::Fused, ChunkScheduler::Static) => {
@@ -958,6 +1082,7 @@ where
             for round in start + 1..=max_rounds {
                 let shards = planes.epoch_shards(graph, plan.bounds());
                 let landing_ref = &landing;
+                let live = churn.as_ref().map(|(ctl, _)| ctl.live());
                 let fctx = faults.ctx;
                 let results: Vec<(isize, FaultSummary)> = std::thread::scope(|scope| {
                     let handles: Vec<_> = shards
@@ -991,7 +1116,7 @@ where
                                     let mut fsink =
                                         FaultSink::wrap(&mut sink, fctx, round, &mut ftally);
                                     let mut delta = 0isize;
-                                    for i in 0..state_c.len() {
+                                    for_each_live!(i in base, state_c.len(), live, {
                                         delta += node_round(
                                             step,
                                             graph,
@@ -1004,7 +1129,7 @@ where
                                             &mut fsink,
                                             wit,
                                         );
-                                    }
+                                    });
                                     (delta, ftally)
                                 })
                             },
@@ -1024,49 +1149,30 @@ where
                 for w in witnesses.iter_mut() {
                     St::absorb(witness, w);
                 }
-                observer.on_round_end(round, states);
-                if undecided == 0 {
-                    // The terminal round's buffers are never landed: the
-                    // store is dead once outputs are collected, so the
-                    // bytes the joined schedule's terminal merge writes
-                    // are unobservable.
+                // A terminal round's buffers are never landed: the store
+                // is dead once outputs are collected, so the bytes the
+                // joined schedule's terminal merge writes are
+                // unobservable.
+                if close_round(
+                    step,
+                    graph,
+                    round,
+                    sent,
+                    &mut undecided,
+                    planes,
+                    states,
+                    rngs,
+                    witness,
+                    plumb,
+                    faults,
+                    &mut churn,
+                    observer,
+                    |ports| flush_deferred(ports, &mut landing),
+                ) {
                     return RoundEnd::Done {
                         rounds: round,
                         sent,
                     };
-                }
-                if plumb.every > 0 && round % plumb.every == 0 {
-                    // A fused boundary still owes the store this round's
-                    // deliveries — they normally land inside the next
-                    // round's scope. Land them now, in the same fixed
-                    // worker order per shard, and clear the buffers so
-                    // the deferred landing becomes a no-op; per-round
-                    // slot uniqueness + commutative counts make the
-                    // store bytes identical either way.
-                    let ports = planes.write();
-                    for ci in 0..workers {
-                        for prev in landing.iter() {
-                            for w in prev.bucket(ci) {
-                                ports.deliver(w.node as usize, w.slot as usize, w.letter);
-                            }
-                        }
-                    }
-                    for b in landing.iter_mut() {
-                        b.clear();
-                    }
-                    boundary_checkpoint::<St, _>(
-                        plumb,
-                        round,
-                        sent,
-                        undecided,
-                        planes,
-                        states,
-                        rngs,
-                        witness,
-                        None,
-                        faults.capture(),
-                        observer,
-                    );
                 }
             }
         }
@@ -1075,4 +1181,208 @@ where
         limit: max_rounds,
         unfinished: undecided as usize,
     }
+}
+
+/// The engine state a lockstep run starts from: fresh initial states,
+/// store, and RNG streams (with a churn plan's disabled extra edges
+/// retired), or the splice of a resume snapshot. On resume the churn
+/// controller fast-forwards to the snapshot's cursor instead: the
+/// restored store already reflects the setup and every boundary up to
+/// the snapshot round, and the restored transcript holds every scoped
+/// delivery so far. The snapshot body must match the run — a churn
+/// cursor exactly when a plan is set, a witness transcript exactly on
+/// the scoped backend, a fault tally exactly when a fault plan is
+/// wired; a mismatch means it belongs to another backend or
+/// configuration.
+type Start<S, W> = (
+    Vec<S>,
+    PortPlanes,
+    Vec<SmallRng>,
+    W,
+    SnapPlumb<S>,
+    FaultSummary,
+);
+
+#[allow(clippy::too_many_arguments)]
+fn start<P: Protocol, St: RoundStep<State = P::State>>(
+    protocol: &P,
+    graph: &Graph,
+    inputs: &[usize],
+    seed: u64,
+    seed_rngs: fn(usize, u64) -> Vec<SmallRng>,
+    ctl: Option<&mut ChurnCtl<'_>>,
+    snap: &SnapArgs<'_, P::State>,
+    faulted: bool,
+) -> Result<Start<P::State, St::Witness>, ExecError> {
+    let sigma = protocol.alphabet().len();
+    let Some(s) = snap.resume else {
+        let mut planes = PortPlanes::new(graph, sigma, protocol.initial_letter());
+        if let Some(ctl) = ctl {
+            ctl.setup(planes.write());
+        }
+        return Ok((
+            inputs.iter().map(|&i| protocol.initial_state(i)).collect(),
+            planes,
+            seed_rngs(graph.node_count(), seed),
+            St::Witness::default(),
+            SnapPlumb::from_args(snap, None),
+            FaultSummary::default(),
+        ));
+    };
+    let splice = snapshot::resume_lockstep(s, &snap.codec(), graph, sigma)?;
+    let kind = || {
+        ExecError::Snapshot(SnapshotError::DigestMismatch {
+            field: "snapshot body kind",
+        })
+    };
+    if splice.churn_next.is_some() != ctl.is_some() || splice.faults.is_some() != faulted {
+        return Err(kind());
+    }
+    let witness = St::restore_witness(splice.witness).ok_or_else(kind)?;
+    if let (Some(ctl), Some(cursor)) = (ctl, splice.churn_next) {
+        ctl.fast_forward(graph, cursor)?;
+    }
+    Ok((
+        splice.states,
+        splice.planes,
+        splice.rngs,
+        witness,
+        SnapPlumb::from_args(snap, Some(splice.point)),
+        splice.faults.unwrap_or_default(),
+    ))
+}
+
+/// A finished lockstep run, decoded for the entry points.
+pub(crate) struct LockstepRun<S, W> {
+    pub(crate) outputs: Vec<u64>,
+    pub(crate) rounds: u64,
+    pub(crate) sent: u64,
+    pub(crate) states: Vec<S>,
+    pub(crate) witness: W,
+    pub(crate) churn: Option<ChurnSummary>,
+}
+
+/// The shared body of the lockstep entry points
+/// ([`crate::sync_exec::exec_sync`], [`crate::scoped::exec_scoped`]).
+/// A churn run builds the plan's universe graph and its [`ChurnCtl`]; a
+/// churn-free run keeps the base graph and copies nothing. Then the
+/// fault plan is compiled, the engine state started or resumed, and the
+/// serial pipeline run, or the parallel one when the builder passes a
+/// policy (it passes none when the policy delegates to the serial
+/// engine). Nodes dead at termination decode to [`DEAD_OUTPUT`] unless
+/// they decided before crashing.
+///
+/// Inputs are validated by the builder; this function assumes
+/// `inputs.len() == base.node_count()`.
+#[allow(clippy::too_many_arguments)]
+#[cfg_attr(not(feature = "parallel"), allow(unused_variables))]
+pub(crate) fn exec_lockstep<P, St>(
+    protocol: &P,
+    step: &St,
+    base: &Graph,
+    inputs: &[usize],
+    config: &SyncConfig,
+    seed_rngs: fn(usize, u64) -> Vec<SmallRng>,
+    plan: Option<&ChurnPlan>,
+    policy: Option<&ParallelPolicy>,
+    observer: ObsArg<'_, P::State>,
+    snap: &SnapArgs<'_, P::State>,
+    faults: FaultsArg<'_>,
+    steals: &mut StealStats,
+) -> Result<LockstepRun<P::State, St::Witness>, ExecError>
+where
+    P: Protocol,
+    P::State: Send + Sync,
+    St: RoundStep<State = P::State> + Sync,
+    St::Witness: Send,
+{
+    let universe;
+    let graph = match plan {
+        Some(plan) => {
+            universe = plan.universe(base).map_err(plan_config)?;
+            &universe
+        }
+        None => base,
+    };
+    debug_assert_eq!(
+        inputs.len(),
+        graph.node_count(),
+        "the builder validates input length"
+    );
+    let (fctx, fout) = compile_faults(faults, graph, protocol.alphabet().len())?;
+    let mut ctl = plan
+        .map(|plan| ChurnCtl::new(plan, base, graph, protocol.initial_letter()))
+        .transpose()?;
+    let (mut states, mut planes, mut rngs, mut witness, plumb, tally) = start::<P, St>(
+        protocol,
+        graph,
+        inputs,
+        config.seed,
+        seed_rngs,
+        ctl.as_mut(),
+        snap,
+        fctx.is_some(),
+    )?;
+    let mut layer = FaultLayer::new(fctx.as_ref(), tally);
+    let churn = ctl.as_mut().map(|ctl| (ctl, inputs));
+    let mut observer = Bridge(observer);
+    let end = match policy {
+        #[cfg(feature = "parallel")]
+        Some(policy) => run_parallel(
+            step,
+            graph,
+            &mut planes,
+            &mut states,
+            &mut rngs,
+            policy,
+            config.max_rounds,
+            &mut observer,
+            &mut witness,
+            &plumb,
+            &mut layer,
+            churn,
+            steals,
+        ),
+        _ => run_serial(
+            step,
+            graph,
+            &mut planes,
+            &mut states,
+            &mut rngs,
+            config.max_rounds,
+            &mut observer,
+            &mut witness,
+            &plumb,
+            &mut layer,
+            churn,
+        ),
+    };
+    if let Some(out) = fout {
+        *out = Some(layer.tally);
+    }
+    let (rounds, sent) = match end {
+        RoundEnd::Done { rounds, sent } => (rounds, sent),
+        RoundEnd::Limit { limit, unfinished } => {
+            return Err(ExecError::RoundLimit { limit, unfinished })
+        }
+    };
+    let churn = ctl.map(|ctl| ctl.finish());
+    let live = churn.as_ref().map(|summary| &summary.live_nodes[..]);
+    let outputs = states
+        .iter()
+        .enumerate()
+        .map(|(v, q)| match protocol.output(q) {
+            Some(out) => out,
+            None if live.is_some_and(|live| !live[v]) => DEAD_OUTPUT,
+            None => panic!("live nodes are decided at termination"),
+        })
+        .collect();
+    Ok(LockstepRun {
+        outputs,
+        rounds,
+        sent,
+        states,
+        witness,
+        churn,
+    })
 }

@@ -26,14 +26,13 @@ use rand::{Rng, SeedableRng};
 use stoneage_core::{Letter, ObsVec, Protocol};
 use stoneage_graph::{Graph, NodeId};
 
-use crate::engine::PortPlanes;
-use crate::faults::{FaultLayer, FaultSummary, FaultsArg};
-#[cfg(feature = "parallel")]
+use crate::churn::ChurnPlan;
+use crate::faults::FaultsArg;
 use crate::parbuf::{ParallelPolicy, StealStats};
-use crate::pipeline::{self, DeliverySink, PortRead, RoundEnd, RoundStep};
-use crate::snapshot::{self, SnapArgs, SnapPlumb, SnapshotError};
-use crate::sync_exec::compile_faults;
-use crate::{splitmix64, ExecError};
+use crate::pipeline::{self, DeliverySink, PortRead, RoundStep};
+use crate::sim::{ObsArg, RowResult};
+use crate::snapshot::SnapArgs;
+use crate::{splitmix64, SyncConfig};
 
 /// An emission under the port-select extension.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -224,6 +223,10 @@ impl<P: ScopedMultiFsm> RoundStep for ScopedStep<'_, P> {
     fn witness_slice(witness: &Vec<ScopedDelivery>) -> Option<&[ScopedDelivery]> {
         Some(witness)
     }
+
+    fn restore_witness(restored: Option<Vec<ScopedDelivery>>) -> Option<Vec<ScopedDelivery>> {
+        restored
+    }
 }
 
 /// The per-node RNG streams of the scoped engines: a pure function of
@@ -235,151 +238,20 @@ pub(crate) fn scoped_rngs(n: usize, seed: u64) -> Vec<SmallRng> {
         .collect()
 }
 
-/// The engine state a scoped run starts from — fresh, or spliced from a
-/// resume snapshot (which must carry a witness transcript, no churn
-/// cursor, and a fault tally exactly when the run wires a fault plan; a
-/// mismatch means it belongs to another backend/configuration). The
-/// restored transcript already holds every scoped delivery up to the
-/// snapshot boundary, so the resumed run's witness is the full-run
-/// witness.
-type ScopedStart<S> = (
-    Vec<S>,
-    PortPlanes,
-    Vec<SmallRng>,
-    Vec<ScopedDelivery>,
-    SnapPlumb<S>,
-    FaultSummary,
-);
-
-fn scoped_start<P: ScopedMultiFsm>(
-    protocol: &P,
-    graph: &Graph,
-    inputs: &[usize],
-    seed: u64,
-    snap: &SnapArgs<'_, P::State>,
-    faulted: bool,
-) -> Result<ScopedStart<P::State>, ExecError> {
-    let sigma = protocol.alphabet().len();
-    if let Some(s) = snap.resume {
-        let splice = snapshot::resume_lockstep(s, &snap.codec(), graph, sigma)?;
-        let (Some(witness), None) = (splice.witness, splice.churn_next) else {
-            return Err(ExecError::Snapshot(SnapshotError::DigestMismatch {
-                field: "snapshot body kind",
-            }));
-        };
-        if splice.faults.is_some() != faulted {
-            return Err(ExecError::Snapshot(SnapshotError::DigestMismatch {
-                field: "snapshot body kind",
-            }));
-        }
-        let tally = splice.faults.unwrap_or_default();
-        let plumb = SnapPlumb::from_args(snap, Some(splice.point));
-        Ok((
-            splice.states,
-            splice.planes,
-            splice.rngs,
-            witness,
-            plumb,
-            tally,
-        ))
-    } else {
-        Ok((
-            inputs.iter().map(|&i| protocol.initial_state(i)).collect(),
-            PortPlanes::new(graph, sigma, protocol.initial_letter()),
-            scoped_rngs(graph.node_count(), seed),
-            Vec::new(),
-            SnapPlumb::from_args(snap, None),
-            FaultSummary::default(),
-        ))
-    }
-}
-
-fn scoped_end<P: ScopedMultiFsm>(
-    protocol: &P,
-    states: Vec<P::State>,
-    scoped_deliveries: Vec<ScopedDelivery>,
-    end: RoundEnd,
-) -> Result<(ScopedOutcome, Vec<P::State>), ExecError> {
-    match end {
-        RoundEnd::Done { rounds, .. } => {
-            let outputs = states.iter().map(|q| protocol.output(q).unwrap()).collect();
-            Ok((
-                ScopedOutcome {
-                    outputs,
-                    rounds,
-                    scoped_deliveries,
-                },
-                states,
-            ))
-        }
-        RoundEnd::Limit { limit, unfinished } => Err(ExecError::RoundLimit { limit, unfinished }),
-    }
-}
-
-/// The scoped synchronous engine: the shared [`crate::pipeline`] round
-/// loop over an epoch-split [`PortPlanes`] store, invoking `observer`
-/// after every round, returning the final per-node state vector next to
-/// the legacy outcome. The [`crate::Simulation`] builder and (through
-/// it) the legacy `run_scoped*` shims land here.
+/// The scoped synchronous engine: the shared lockstep body
+/// ([`pipeline::exec_lockstep`]) with the port-select [`ScopedStep`],
+/// returning the final per-node state vector next to the legacy outcome
+/// and, under a churn plan, the [`crate::ChurnSummary`]. The
+/// [`crate::Simulation`] builder's Scoped row points here. A resumed
+/// run's witness is the full-run witness: the restored transcript
+/// already holds every scoped delivery up to the snapshot boundary.
 ///
-/// Inputs are validated by the builder; the legacy shims pass all zeros,
-/// which reproduces the historical `initial_state(0)` seeding exactly.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_scoped<P, O>(
-    protocol: &P,
-    graph: &Graph,
-    inputs: &[usize],
-    seed: u64,
-    max_rounds: u64,
-    observer: &mut O,
-    snap: &SnapArgs<'_, P::State>,
-    faults: FaultsArg<'_>,
-) -> Result<(ScopedOutcome, Vec<P::State>), ExecError>
-where
-    P: ScopedMultiFsm,
-    O: crate::sync_exec::SyncObserver<P::State>,
-{
-    debug_assert_eq!(
-        inputs.len(),
-        graph.node_count(),
-        "the builder validates input length"
-    );
-    let (fctx, fout) = compile_faults(faults, graph, protocol.alphabet().len())?;
-    let (mut states, mut planes, mut rngs, mut scoped_deliveries, plumb, tally) =
-        scoped_start(protocol, graph, inputs, seed, snap, fctx.is_some())?;
-    let mut layer = FaultLayer::new(fctx.as_ref(), tally);
-    let end = pipeline::run_serial(
-        &ScopedStep(protocol),
-        graph,
-        &mut planes,
-        &mut states,
-        &mut rngs,
-        max_rounds,
-        observer,
-        &mut scoped_deliveries,
-        &plumb,
-        &mut layer,
-    );
-    if let Some(out) = fout {
-        *out = Some(layer.tally);
-    }
-    scoped_end(protocol, states, scoped_deliveries, end)
-}
-
-/// The parallel twin of [`exec_scoped`], on the shared
-/// [`crate::pipeline`] parallel round loop: worker `i` owns a contiguous
-/// node chunk and, per round, applies each of its nodes' transitions and
-/// immediately resolves the node's emission — broadcasts through the
-/// reverse-port map, port-selected sends via the same early-exit
-/// count-draw the serial engine uses — into a private
-/// [`crate::parbuf::DeliveryBuffer`] plus a worker-local
-/// [`ScopedDelivery`] transcript. Phase 2b runs per the policy's
-/// [`crate::parbuf::RoundMode`]: merged between rounds (`Joined`) or
-/// deferred into the next round's worker scope over per-worker
-/// [`crate::engine::PlaneShard`]s (`Fused`, one join per round).
-///
-/// Bit-identical to [`exec_scoped`] for every seed, worker count, merge
-/// strategy, and round mode:
+/// With a `policy` the round loop is the parallel pipeline: each worker
+/// applies its nodes' transitions and immediately resolves their
+/// emissions into a private [`crate::parbuf::DeliveryBuffer`] plus a
+/// worker-local [`ScopedDelivery`] transcript. Bit-identical to the
+/// serial loop for every seed, worker count, merge strategy, round
+/// mode, and churn plan:
 ///
 /// * a node's RNG draws happen in the serial order (transition draw, then
 ///   target draw) because both phases of a node run back to back on its
@@ -391,65 +263,49 @@ where
 ///   order — exactly the serial engine's push order;
 /// * the landed port store is byte-identical by the slot-uniqueness /
 ///   commutative-counts argument of the [`crate::parbuf`] module docs.
-///
-/// `observer` fires after each round's states are complete — the same
-/// post-round states the serial engine reports. The
-/// [`crate::Simulation`] builder delegates to the serial engine when
-/// [`ParallelPolicy::use_serial`] says the instance is too small, so
-/// this function always runs the chunked machinery.
-#[cfg(feature = "parallel")]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_scoped_parallel<P, O>(
+pub(crate) fn exec_scoped<P>(
     protocol: &P,
     graph: &Graph,
     inputs: &[usize],
-    seed: u64,
-    max_rounds: u64,
-    policy: &ParallelPolicy,
-    observer: &mut O,
+    config: &SyncConfig,
+    plan: Option<&ChurnPlan>,
+    policy: Option<&ParallelPolicy>,
+    observer: ObsArg<'_, P::State>,
     snap: &SnapArgs<'_, P::State>,
     faults: FaultsArg<'_>,
     steals: &mut StealStats,
-) -> Result<(ScopedOutcome, Vec<P::State>), ExecError>
+) -> RowResult<ScopedOutcome, P::State>
 where
     P: ScopedMultiFsm + Sync,
     P::State: Send + Sync,
-    O: crate::sync_exec::SyncObserver<P::State>,
 {
-    debug_assert_eq!(
-        inputs.len(),
-        graph.node_count(),
-        "the builder validates input length"
-    );
-    let (fctx, fout) = compile_faults(faults, graph, protocol.alphabet().len())?;
-    // The identical per-node streams (or restored mid-run streams) of
-    // the serial engine.
-    let (mut states, mut planes, mut rngs, mut scoped_deliveries, plumb, tally) =
-        scoped_start(protocol, graph, inputs, seed, snap, fctx.is_some())?;
-    let mut layer = FaultLayer::new(fctx.as_ref(), tally);
-    let end = pipeline::run_parallel(
+    let run = pipeline::exec_lockstep(
+        protocol,
         &ScopedStep(protocol),
         graph,
-        &mut planes,
-        &mut states,
-        &mut rngs,
+        inputs,
+        config,
+        scoped_rngs,
+        plan,
         policy,
-        max_rounds,
         observer,
-        &mut scoped_deliveries,
-        &plumb,
-        &mut layer,
+        snap,
+        faults,
         steals,
-    );
-    if let Some(out) = fout {
-        *out = Some(layer.tally);
-    }
-    scoped_end(protocol, states, scoped_deliveries, end)
+    )?;
+    let outcome = ScopedOutcome {
+        outputs: run.outputs,
+        rounds: run.rounds,
+        scoped_deliveries: run.witness,
+    };
+    Ok((outcome, run.states, run.churn))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ExecError;
     use stoneage_core::Alphabet;
     use stoneage_graph::generators;
 

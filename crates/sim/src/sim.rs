@@ -72,17 +72,14 @@ use std::fmt;
 use stoneage_core::{Fsm, MultiFsm, Protocol};
 use stoneage_graph::{Graph, NodeId, TopologyEvent};
 
-use crate::churn::{self, ChurnPlan, ChurnSummary};
+use crate::churn::{ChurnPlan, ChurnSummary};
 use crate::faults::{FaultPlan, FaultScope, FaultSummary, FaultWire, FaultsArg, LinkFault};
-#[cfg(feature = "parallel")]
-use crate::parbuf::ParallelPolicy;
-use crate::parbuf::StealStats;
+use crate::parbuf::{ParallelPolicy, StealStats};
 use crate::scoped::{self, ScopedDelivery, ScopedMultiFsm, ScopedOutcome};
 use crate::snapshot::{self, SnapArgs, SnapMeta, SnapState, Snapshot, SnapshotError, StateCodec};
-use crate::sync_exec::{self, NoopObserver, SyncConfig, SyncObserver, SyncOutcome};
+use crate::sync_exec::{self, SyncConfig, SyncObserver, SyncOutcome};
 use crate::{
-    async_exec, Adversary, AsyncConfig, AsyncObserver, AsyncOutcome, ExecError, NoopAsyncObserver,
-    SchedulerKind,
+    async_exec, Adversary, AsyncConfig, AsyncObserver, AsyncOutcome, ExecError, SchedulerKind,
 };
 
 /// The normalized run-time of a completed simulation, in the unit native
@@ -409,25 +406,34 @@ impl<S, O: AsyncObserver<S>> Observer<S> for AdaptAsync<O> {
 
 /// Bridges the unified observer back onto the engines' legacy hook
 /// traits, so the engines stay monomorphized over one observer shape.
-struct Bridge<'a, 'o, S>(&'a mut (dyn Observer<S> + 'o));
+/// Without an attached observer every hook is a no-op.
+pub(crate) struct Bridge<'a, S>(pub(crate) ObsArg<'a, S>);
 
-impl<S> SyncObserver<S> for Bridge<'_, '_, S> {
+impl<S> SyncObserver<S> for Bridge<'_, S> {
     fn on_round_end(&mut self, round: u64, states: &[S]) {
-        self.0.on_round_end(round, states);
+        if let Some(o) = &mut self.0 {
+            o.on_round_end(round, states);
+        }
     }
 
     fn on_checkpoint(&mut self, snapshot: &Snapshot) {
-        self.0.on_checkpoint(snapshot);
+        if let Some(o) = &mut self.0 {
+            o.on_checkpoint(snapshot);
+        }
     }
 }
 
-impl<S> AsyncObserver<S> for Bridge<'_, '_, S> {
+impl<S> AsyncObserver<S> for Bridge<'_, S> {
     fn on_step(&mut self, time: f64, v: NodeId, t: u64, state: &S) {
-        self.0.on_step(time, v, t, state);
+        if let Some(o) = &mut self.0 {
+            o.on_step(time, v, t, state);
+        }
     }
 
     fn on_checkpoint(&mut self, snapshot: &Snapshot) {
-        self.0.on_checkpoint(snapshot);
+        if let Some(o) = &mut self.0 {
+            o.on_checkpoint(snapshot);
+        }
     }
 }
 
@@ -516,576 +522,57 @@ impl Backend<'_> {
     }
 }
 
-/// A capability row captured (monomorphized) by the constructor matching
-/// the protocol's transition flavor; `run` dispatches through whichever
-/// row the selected backend needs and reports a mismatch as
-/// [`ExecError::Config`].
-type ObsArg<'a, P> = Option<&'a mut dyn Observer<<P as Protocol>::State>>;
+/// The observer an engine entry point receives: the attached unified
+/// observer, if any.
+pub(crate) type ObsArg<'a, S> = Option<&'a mut dyn Observer<S>>;
+
+/// What a capability row returns: the backend's legacy outcome, the
+/// final per-node states, and the churn summary (`None` on churn-free
+/// runs).
+pub(crate) type RowResult<Out, S> = Result<(Out, Vec<S>, Option<ChurnSummary>), ExecError>;
 
 /// The snapshot plumbing every capability row threads to its engine:
 /// cadence, resume frame, state codec, and the binding header metadata.
 type SnapRef<'a, P> = &'a SnapArgs<'a, <P as Protocol>::State>;
 
-type SyncFn<P> = fn(
+/// A lockstep capability row (Sync or Scoped): one engine entry point
+/// serving every combination of churn plan and parallel policy (`None`
+/// when unset).
+type LockstepFn<P, Out> = fn(
     &P,
     &Graph,
     &[usize],
     &SyncConfig,
-    ObsArg<'_, P>,
+    Option<&ChurnPlan>,
+    Option<&ParallelPolicy>,
+    ObsArg<'_, <P as Protocol>::State>,
     SnapRef<'_, P>,
     FaultsArg<'_>,
-) -> Result<(SyncOutcome, Vec<<P as Protocol>::State>), ExecError>;
+    &mut StealStats,
+) -> RowResult<Out, <P as Protocol>::State>;
 
+/// The Async capability row; it runs the churn event loop when a plan is
+/// set.
 type AsyncFn<P> = fn(
     &P,
     &Graph,
     &[usize],
     &dyn Adversary,
     &AsyncConfig,
-    ObsArg<'_, P>,
+    Option<&ChurnPlan>,
+    ObsArg<'_, <P as Protocol>::State>,
     SnapRef<'_, P>,
     FaultsArg<'_>,
-) -> Result<(AsyncOutcome, Vec<<P as Protocol>::State>), ExecError>;
+) -> RowResult<AsyncOutcome, <P as Protocol>::State>;
 
-type ScopedFn<P> = fn(
-    &P,
-    &Graph,
-    &[usize],
-    u64,
-    u64,
-    ObsArg<'_, P>,
-    SnapRef<'_, P>,
-    FaultsArg<'_>,
-) -> Result<(ScopedOutcome, Vec<<P as Protocol>::State>), ExecError>;
-
-#[cfg(feature = "parallel")]
-type SyncParFn<P> = fn(
-    &P,
-    &Graph,
-    &[usize],
-    &SyncConfig,
-    &ParallelPolicy,
-    ObsArg<'_, P>,
-    SnapRef<'_, P>,
-    FaultsArg<'_>,
-    &mut StealStats,
-) -> Result<(SyncOutcome, Vec<<P as Protocol>::State>), ExecError>;
-
-#[cfg(feature = "parallel")]
-type ScopedParFn<P> = fn(
-    &P,
-    &Graph,
-    &[usize],
-    u64,
-    u64,
-    &ParallelPolicy,
-    ObsArg<'_, P>,
-    SnapRef<'_, P>,
-    FaultsArg<'_>,
-    &mut StealStats,
-) -> Result<(ScopedOutcome, Vec<<P as Protocol>::State>), ExecError>;
-
-type SyncChurnFn<P> =
-    fn(
-        &P,
-        &Graph,
-        &[usize],
-        &SyncConfig,
-        &ChurnPlan,
-        ObsArg<'_, P>,
-        SnapRef<'_, P>,
-        FaultsArg<'_>,
-    ) -> Result<(SyncOutcome, Vec<<P as Protocol>::State>, ChurnSummary), ExecError>;
-
-type AsyncChurnFn<P> =
-    fn(
-        &P,
-        &Graph,
-        &[usize],
-        &dyn Adversary,
-        &AsyncConfig,
-        &ChurnPlan,
-        ObsArg<'_, P>,
-        SnapRef<'_, P>,
-        FaultsArg<'_>,
-    ) -> Result<(AsyncOutcome, Vec<<P as Protocol>::State>, ChurnSummary), ExecError>;
-
-type ScopedChurnFn<P> =
-    fn(
-        &P,
-        &Graph,
-        &[usize],
-        u64,
-        u64,
-        &ChurnPlan,
-        ObsArg<'_, P>,
-        SnapRef<'_, P>,
-        FaultsArg<'_>,
-    ) -> Result<(ScopedOutcome, Vec<<P as Protocol>::State>, ChurnSummary), ExecError>;
-
-#[cfg(feature = "parallel")]
-type SyncChurnParFn<P> =
-    fn(
-        &P,
-        &Graph,
-        &[usize],
-        &SyncConfig,
-        &ChurnPlan,
-        &ParallelPolicy,
-        ObsArg<'_, P>,
-        SnapRef<'_, P>,
-        FaultsArg<'_>,
-        &mut StealStats,
-    ) -> Result<(SyncOutcome, Vec<<P as Protocol>::State>, ChurnSummary), ExecError>;
-
-#[cfg(feature = "parallel")]
-type ScopedChurnParFn<P> =
-    fn(
-        &P,
-        &Graph,
-        &[usize],
-        u64,
-        u64,
-        &ChurnPlan,
-        &ParallelPolicy,
-        ObsArg<'_, P>,
-        SnapRef<'_, P>,
-        FaultsArg<'_>,
-        &mut StealStats,
-    ) -> Result<(ScopedOutcome, Vec<<P as Protocol>::State>, ChurnSummary), ExecError>;
-
+/// One capability row per transition flavor, captured (monomorphized) by
+/// the constructor matching the protocol's flavor; `run` dispatches
+/// through whichever row the selected backend needs and reports a
+/// missing row as [`ExecError::Config`].
 struct Caps<P: Protocol> {
-    sync: Option<SyncFn<P>>,
+    sync: Option<LockstepFn<P, SyncOutcome>>,
+    scoped: Option<LockstepFn<P, ScopedOutcome>>,
     async_run: Option<AsyncFn<P>>,
-    scoped: Option<ScopedFn<P>>,
-    sync_churn: Option<SyncChurnFn<P>>,
-    async_churn: Option<AsyncChurnFn<P>>,
-    scoped_churn: Option<ScopedChurnFn<P>>,
-    #[cfg(feature = "parallel")]
-    sync_par: Option<SyncParFn<P>>,
-    #[cfg(feature = "parallel")]
-    scoped_par: Option<ScopedParFn<P>>,
-    #[cfg(feature = "parallel")]
-    sync_churn_par: Option<SyncChurnParFn<P>>,
-    #[cfg(feature = "parallel")]
-    scoped_churn_par: Option<ScopedChurnParFn<P>>,
-}
-
-impl<P: Protocol> Caps<P> {
-    fn none() -> Self {
-        Caps {
-            sync: None,
-            async_run: None,
-            scoped: None,
-            sync_churn: None,
-            async_churn: None,
-            scoped_churn: None,
-            #[cfg(feature = "parallel")]
-            sync_par: None,
-            #[cfg(feature = "parallel")]
-            scoped_par: None,
-            #[cfg(feature = "parallel")]
-            sync_churn_par: None,
-            #[cfg(feature = "parallel")]
-            scoped_churn_par: None,
-        }
-    }
-}
-
-fn cap_sync<P: MultiFsm>(
-    protocol: &P,
-    graph: &Graph,
-    inputs: &[usize],
-    config: &SyncConfig,
-    observer: ObsArg<'_, P>,
-    snap: SnapRef<'_, P>,
-    faults: FaultsArg<'_>,
-) -> Result<(SyncOutcome, Vec<P::State>), ExecError> {
-    match observer {
-        Some(o) => sync_exec::exec_sync(
-            protocol,
-            graph,
-            inputs,
-            config,
-            &mut Bridge(o),
-            snap,
-            faults,
-        ),
-        None => sync_exec::exec_sync(
-            protocol,
-            graph,
-            inputs,
-            config,
-            &mut NoopObserver,
-            snap,
-            faults,
-        ),
-    }
-}
-
-#[cfg(feature = "parallel")]
-#[allow(clippy::too_many_arguments)]
-fn cap_sync_par<P>(
-    protocol: &P,
-    graph: &Graph,
-    inputs: &[usize],
-    config: &SyncConfig,
-    policy: &ParallelPolicy,
-    observer: ObsArg<'_, P>,
-    snap: SnapRef<'_, P>,
-    faults: FaultsArg<'_>,
-    steals: &mut StealStats,
-) -> Result<(SyncOutcome, Vec<P::State>), ExecError>
-where
-    P: MultiFsm + Sync,
-    P::State: Send + Sync,
-{
-    match observer {
-        Some(o) => sync_exec::exec_sync_parallel(
-            protocol,
-            graph,
-            inputs,
-            config,
-            policy,
-            &mut Bridge(o),
-            snap,
-            faults,
-            steals,
-        ),
-        None => sync_exec::exec_sync_parallel(
-            protocol,
-            graph,
-            inputs,
-            config,
-            policy,
-            &mut NoopObserver,
-            snap,
-            faults,
-            steals,
-        ),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn cap_async<P: Fsm>(
-    protocol: &P,
-    graph: &Graph,
-    inputs: &[usize],
-    adversary: &dyn Adversary,
-    config: &AsyncConfig,
-    observer: ObsArg<'_, P>,
-    snap: SnapRef<'_, P>,
-    faults: FaultsArg<'_>,
-) -> Result<(AsyncOutcome, Vec<P::State>), ExecError> {
-    match observer {
-        Some(o) => async_exec::exec_async(
-            protocol,
-            graph,
-            inputs,
-            adversary,
-            config,
-            &mut Bridge(o),
-            snap,
-            faults,
-        ),
-        None => async_exec::exec_async(
-            protocol,
-            graph,
-            inputs,
-            adversary,
-            config,
-            &mut NoopAsyncObserver,
-            snap,
-            faults,
-        ),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn cap_scoped<P: ScopedMultiFsm>(
-    protocol: &P,
-    graph: &Graph,
-    inputs: &[usize],
-    seed: u64,
-    max_rounds: u64,
-    observer: ObsArg<'_, P>,
-    snap: SnapRef<'_, P>,
-    faults: FaultsArg<'_>,
-) -> Result<(ScopedOutcome, Vec<P::State>), ExecError> {
-    match observer {
-        Some(o) => scoped::exec_scoped(
-            protocol,
-            graph,
-            inputs,
-            seed,
-            max_rounds,
-            &mut Bridge(o),
-            snap,
-            faults,
-        ),
-        None => scoped::exec_scoped(
-            protocol,
-            graph,
-            inputs,
-            seed,
-            max_rounds,
-            &mut NoopObserver,
-            snap,
-            faults,
-        ),
-    }
-}
-
-#[cfg(feature = "parallel")]
-#[allow(clippy::too_many_arguments)]
-fn cap_scoped_par<P>(
-    protocol: &P,
-    graph: &Graph,
-    inputs: &[usize],
-    seed: u64,
-    max_rounds: u64,
-    policy: &ParallelPolicy,
-    observer: ObsArg<'_, P>,
-    snap: SnapRef<'_, P>,
-    faults: FaultsArg<'_>,
-    steals: &mut StealStats,
-) -> Result<(ScopedOutcome, Vec<P::State>), ExecError>
-where
-    P: ScopedMultiFsm + Sync,
-    P::State: Send + Sync,
-{
-    match observer {
-        Some(o) => scoped::exec_scoped_parallel(
-            protocol,
-            graph,
-            inputs,
-            seed,
-            max_rounds,
-            policy,
-            &mut Bridge(o),
-            snap,
-            faults,
-            steals,
-        ),
-        None => scoped::exec_scoped_parallel(
-            protocol,
-            graph,
-            inputs,
-            seed,
-            max_rounds,
-            policy,
-            &mut NoopObserver,
-            snap,
-            faults,
-            steals,
-        ),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn cap_sync_churn<P: MultiFsm>(
-    protocol: &P,
-    base: &Graph,
-    inputs: &[usize],
-    config: &SyncConfig,
-    plan: &ChurnPlan,
-    observer: ObsArg<'_, P>,
-    snap: SnapRef<'_, P>,
-    faults: FaultsArg<'_>,
-) -> Result<(SyncOutcome, Vec<P::State>, ChurnSummary), ExecError> {
-    match observer {
-        Some(o) => churn::exec_sync_churn(
-            protocol,
-            base,
-            inputs,
-            config,
-            plan,
-            &mut Bridge(o),
-            snap,
-            faults,
-        ),
-        None => churn::exec_sync_churn(
-            protocol,
-            base,
-            inputs,
-            config,
-            plan,
-            &mut NoopObserver,
-            snap,
-            faults,
-        ),
-    }
-}
-
-#[cfg(feature = "parallel")]
-#[allow(clippy::too_many_arguments)]
-fn cap_sync_churn_par<P>(
-    protocol: &P,
-    base: &Graph,
-    inputs: &[usize],
-    config: &SyncConfig,
-    plan: &ChurnPlan,
-    policy: &ParallelPolicy,
-    observer: ObsArg<'_, P>,
-    snap: SnapRef<'_, P>,
-    faults: FaultsArg<'_>,
-    steals: &mut StealStats,
-) -> Result<(SyncOutcome, Vec<P::State>, ChurnSummary), ExecError>
-where
-    P: MultiFsm + Sync,
-    P::State: Send + Sync,
-{
-    match observer {
-        Some(o) => churn::exec_sync_churn_parallel(
-            protocol,
-            base,
-            inputs,
-            config,
-            plan,
-            policy,
-            &mut Bridge(o),
-            snap,
-            faults,
-            steals,
-        ),
-        None => churn::exec_sync_churn_parallel(
-            protocol,
-            base,
-            inputs,
-            config,
-            plan,
-            policy,
-            &mut NoopObserver,
-            snap,
-            faults,
-            steals,
-        ),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn cap_async_churn<P: Fsm>(
-    protocol: &P,
-    base: &Graph,
-    inputs: &[usize],
-    adversary: &dyn Adversary,
-    config: &AsyncConfig,
-    plan: &ChurnPlan,
-    observer: ObsArg<'_, P>,
-    snap: SnapRef<'_, P>,
-    faults: FaultsArg<'_>,
-) -> Result<(AsyncOutcome, Vec<P::State>, ChurnSummary), ExecError> {
-    match observer {
-        Some(o) => async_exec::exec_async_churn(
-            protocol,
-            base,
-            inputs,
-            adversary,
-            config,
-            plan,
-            &mut Bridge(o),
-            snap,
-            faults,
-        ),
-        None => async_exec::exec_async_churn(
-            protocol,
-            base,
-            inputs,
-            adversary,
-            config,
-            plan,
-            &mut NoopAsyncObserver,
-            snap,
-            faults,
-        ),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn cap_scoped_churn<P: ScopedMultiFsm>(
-    protocol: &P,
-    base: &Graph,
-    inputs: &[usize],
-    seed: u64,
-    max_rounds: u64,
-    plan: &ChurnPlan,
-    observer: ObsArg<'_, P>,
-    snap: SnapRef<'_, P>,
-    faults: FaultsArg<'_>,
-) -> Result<(ScopedOutcome, Vec<P::State>, ChurnSummary), ExecError> {
-    match observer {
-        Some(o) => churn::exec_scoped_churn(
-            protocol,
-            base,
-            inputs,
-            seed,
-            max_rounds,
-            plan,
-            &mut Bridge(o),
-            snap,
-            faults,
-        ),
-        None => churn::exec_scoped_churn(
-            protocol,
-            base,
-            inputs,
-            seed,
-            max_rounds,
-            plan,
-            &mut NoopObserver,
-            snap,
-            faults,
-        ),
-    }
-}
-
-#[cfg(feature = "parallel")]
-#[allow(clippy::too_many_arguments)]
-fn cap_scoped_churn_par<P>(
-    protocol: &P,
-    base: &Graph,
-    inputs: &[usize],
-    seed: u64,
-    max_rounds: u64,
-    plan: &ChurnPlan,
-    policy: &ParallelPolicy,
-    observer: ObsArg<'_, P>,
-    snap: SnapRef<'_, P>,
-    faults: FaultsArg<'_>,
-    steals: &mut StealStats,
-) -> Result<(ScopedOutcome, Vec<P::State>, ChurnSummary), ExecError>
-where
-    P: ScopedMultiFsm + Sync,
-    P::State: Send + Sync,
-{
-    match observer {
-        Some(o) => churn::exec_scoped_churn_parallel(
-            protocol,
-            base,
-            inputs,
-            seed,
-            max_rounds,
-            plan,
-            policy,
-            &mut Bridge(o),
-            snap,
-            faults,
-            steals,
-        ),
-        None => churn::exec_scoped_churn_parallel(
-            protocol,
-            base,
-            inputs,
-            seed,
-            max_rounds,
-            plan,
-            policy,
-            &mut NoopObserver,
-            snap,
-            faults,
-            steals,
-        ),
-    }
 }
 
 /// The unified simulation builder. See the [module docs](self) for the
@@ -1130,14 +617,11 @@ where
     /// synchronous backend ([`Backend::Sync`] preset). Run single-letter
     /// [`Fsm`] protocols here through [`stoneage_core::AsMulti`].
     pub fn sync(protocol: &'g P, graph: &'g Graph) -> Self {
-        let mut caps = Caps::none();
-        caps.sync = Some(cap_sync::<P>);
-        caps.sync_churn = Some(cap_sync_churn::<P>);
-        #[cfg(feature = "parallel")]
-        {
-            caps.sync_par = Some(cap_sync_par::<P>);
-            caps.sync_churn_par = Some(cap_sync_churn_par::<P>);
-        }
+        let caps = Caps {
+            sync: Some(sync_exec::exec_sync::<P>),
+            scoped: None,
+            async_run: None,
+        };
         Simulation::with_caps(protocol, graph, Backend::Sync, caps)
     }
 }
@@ -1149,9 +633,11 @@ impl<'g, P: Fsm> Simulation<'g, P> {
     /// via [`backend`](Self::backend) to pick a scheduler or bucket
     /// width).
     pub fn asynchronous(protocol: &'g P, graph: &'g Graph, adversary: &'g dyn Adversary) -> Self {
-        let mut caps = Caps::none();
-        caps.async_run = Some(cap_async::<P>);
-        caps.async_churn = Some(cap_async_churn::<P>);
+        let caps = Caps {
+            sync: None,
+            scoped: None,
+            async_run: Some(async_exec::exec_async::<P>),
+        };
         Simulation::with_caps(
             protocol,
             graph,
@@ -1169,14 +655,11 @@ where
     /// A simulation of a port-select-extension protocol on the scoped
     /// lockstep backend ([`Backend::Scoped`] preset).
     pub fn scoped(protocol: &'g P, graph: &'g Graph) -> Self {
-        let mut caps = Caps::none();
-        caps.scoped = Some(cap_scoped::<P>);
-        caps.scoped_churn = Some(cap_scoped_churn::<P>);
-        #[cfg(feature = "parallel")]
-        {
-            caps.scoped_par = Some(cap_scoped_par::<P>);
-            caps.scoped_churn_par = Some(cap_scoped_churn_par::<P>);
-        }
+        let caps = Caps {
+            sync: None,
+            scoped: Some(scoped::exec_scoped::<P>),
+            async_run: None,
+        };
         Simulation::with_caps(protocol, graph, Backend::Scoped, caps)
     }
 }
@@ -1427,8 +910,11 @@ impl<'g, P: Protocol> Simulation<'g, P> {
         let observer = self.observer.take();
         // Every engine call threads an optional FaultWire pointing at
         // this slot; whichever engine runs writes its final tally here.
-        let fault_plan = self.faults;
         let mut fault_summary: Option<FaultSummary> = None;
+        let faults = self.faults.map(|plan| FaultWire {
+            plan,
+            out: &mut fault_summary,
+        });
 
         fn mismatch(backend: &Backend<'_>, constructor: &str) -> ExecError {
             ExecError::Config {
@@ -1441,261 +927,77 @@ impl<'g, P: Protocol> Simulation<'g, P> {
             }
         }
 
+        let config = SyncConfig {
+            seed: self.seed,
+            max_rounds: self.budget.unwrap_or(SyncConfig::default().max_rounds),
+        };
+        let policy = self.lockstep_policy();
+        // The shard plan clamps to the node count — report what actually
+        // runs, not the raw policy value.
+        let workers = policy.map_or(1, |p| p.resolve_workers().min(n.max(1)));
+        let mut steals = StealStats::default();
         match self.backend {
             Backend::Sync => {
-                let config = SyncConfig {
-                    seed: self.seed,
-                    max_rounds: self.budget.unwrap_or(SyncConfig::default().max_rounds),
-                };
                 let snap = self.snap_args(snapshot::BACKEND_SYNC, inputs, None)?;
-                if let Some(plan) = self.churn {
-                    #[cfg(feature = "parallel")]
-                    if let Some(policy) = self.policy {
-                        let run = self
-                            .caps
-                            .sync_churn_par
-                            .ok_or_else(|| mismatch(&self.backend, "sync"))?;
-                        if !policy.use_serial(n) {
-                            let workers = policy.resolve_workers().min(n.max(1));
-                            let mut steals = StealStats::default();
-                            let (out, states, summary) = run(
-                                self.protocol,
-                                self.graph,
-                                inputs,
-                                &config,
-                                plan,
-                                &policy,
-                                observer,
-                                &snap,
-                                fault_plan.map(|p| FaultWire {
-                                    plan: p,
-                                    out: &mut fault_summary,
-                                }),
-                                &mut steals,
-                            )?;
-                            return Ok(sync_outcome(
-                                out,
-                                states,
-                                workers,
-                                Some(summary),
-                                fault_summary,
-                                steals,
-                            ));
-                        }
-                    }
-                    let run = self
-                        .caps
-                        .sync_churn
-                        .ok_or_else(|| mismatch(&self.backend, "sync"))?;
-                    let (out, states, summary) = run(
-                        self.protocol,
-                        self.graph,
-                        inputs,
-                        &config,
-                        plan,
-                        observer,
-                        &snap,
-                        fault_plan.map(|p| FaultWire {
-                            plan: p,
-                            out: &mut fault_summary,
-                        }),
-                    )?;
-                    return Ok(sync_outcome(
-                        out,
-                        states,
-                        1,
-                        Some(summary),
-                        fault_summary,
-                        StealStats::default(),
-                    ));
-                }
-                #[cfg(feature = "parallel")]
-                if let Some(policy) = self.policy {
-                    let run = self
-                        .caps
-                        .sync_par
-                        .ok_or_else(|| mismatch(&self.backend, "sync"))?;
-                    if !policy.use_serial(n) {
-                        // The shard plan clamps to the node count — report
-                        // what actually runs, not the raw policy value.
-                        let workers = policy.resolve_workers().min(n.max(1));
-                        let mut steals = StealStats::default();
-                        let (out, states) = run(
-                            self.protocol,
-                            self.graph,
-                            inputs,
-                            &config,
-                            &policy,
-                            observer,
-                            &snap,
-                            fault_plan.map(|p| FaultWire {
-                                plan: p,
-                                out: &mut fault_summary,
-                            }),
-                            &mut steals,
-                        )?;
-                        return Ok(sync_outcome(
-                            out,
-                            states,
-                            workers,
-                            None,
-                            fault_summary,
-                            steals,
-                        ));
-                    }
-                }
                 let run = self
                     .caps
                     .sync
                     .ok_or_else(|| mismatch(&self.backend, "sync"))?;
-                let (out, states) = run(
+                let (out, states, churn) = run(
                     self.protocol,
                     self.graph,
                     inputs,
                     &config,
+                    self.churn,
+                    policy.as_ref(),
                     observer,
                     &snap,
-                    fault_plan.map(|p| FaultWire {
-                        plan: p,
-                        out: &mut fault_summary,
-                    }),
+                    faults,
+                    &mut steals,
                 )?;
-                Ok(sync_outcome(
-                    out,
+                Ok(Outcome {
+                    outputs: out.outputs,
                     states,
-                    1,
-                    None,
-                    fault_summary,
-                    StealStats::default(),
-                ))
+                    cost: Cost::Rounds(out.rounds),
+                    workers,
+                    steals,
+                    detail: Detail::Sync {
+                        messages_sent: out.messages_sent,
+                        churn,
+                        faults: fault_summary,
+                    },
+                })
             }
             Backend::Scoped => {
-                let max_rounds = self.budget.unwrap_or(SyncConfig::default().max_rounds);
                 let snap = self.snap_args(snapshot::BACKEND_SCOPED, inputs, None)?;
-                if let Some(plan) = self.churn {
-                    #[cfg(feature = "parallel")]
-                    if let Some(policy) = self.policy {
-                        let run = self
-                            .caps
-                            .scoped_churn_par
-                            .ok_or_else(|| mismatch(&self.backend, "scoped"))?;
-                        if !policy.use_serial(n) {
-                            let workers = policy.resolve_workers().min(n.max(1));
-                            let mut steals = StealStats::default();
-                            let (out, states, summary) = run(
-                                self.protocol,
-                                self.graph,
-                                inputs,
-                                self.seed,
-                                max_rounds,
-                                plan,
-                                &policy,
-                                observer,
-                                &snap,
-                                fault_plan.map(|p| FaultWire {
-                                    plan: p,
-                                    out: &mut fault_summary,
-                                }),
-                                &mut steals,
-                            )?;
-                            return Ok(scoped_outcome(
-                                out,
-                                states,
-                                workers,
-                                Some(summary),
-                                fault_summary,
-                                steals,
-                            ));
-                        }
-                    }
-                    let run = self
-                        .caps
-                        .scoped_churn
-                        .ok_or_else(|| mismatch(&self.backend, "scoped"))?;
-                    let (out, states, summary) = run(
-                        self.protocol,
-                        self.graph,
-                        inputs,
-                        self.seed,
-                        max_rounds,
-                        plan,
-                        observer,
-                        &snap,
-                        fault_plan.map(|p| FaultWire {
-                            plan: p,
-                            out: &mut fault_summary,
-                        }),
-                    )?;
-                    return Ok(scoped_outcome(
-                        out,
-                        states,
-                        1,
-                        Some(summary),
-                        fault_summary,
-                        StealStats::default(),
-                    ));
-                }
-                #[cfg(feature = "parallel")]
-                if let Some(policy) = self.policy {
-                    let run = self
-                        .caps
-                        .scoped_par
-                        .ok_or_else(|| mismatch(&self.backend, "scoped"))?;
-                    if !policy.use_serial(n) {
-                        // The shard plan clamps to the node count — report
-                        // what actually runs, not the raw policy value.
-                        let workers = policy.resolve_workers().min(n.max(1));
-                        let mut steals = StealStats::default();
-                        let (out, states) = run(
-                            self.protocol,
-                            self.graph,
-                            inputs,
-                            self.seed,
-                            max_rounds,
-                            &policy,
-                            observer,
-                            &snap,
-                            fault_plan.map(|p| FaultWire {
-                                plan: p,
-                                out: &mut fault_summary,
-                            }),
-                            &mut steals,
-                        )?;
-                        return Ok(scoped_outcome(
-                            out,
-                            states,
-                            workers,
-                            None,
-                            fault_summary,
-                            steals,
-                        ));
-                    }
-                }
                 let run = self
                     .caps
                     .scoped
                     .ok_or_else(|| mismatch(&self.backend, "scoped"))?;
-                let (out, states) = run(
+                let (out, states, churn) = run(
                     self.protocol,
                     self.graph,
                     inputs,
-                    self.seed,
-                    max_rounds,
+                    &config,
+                    self.churn,
+                    policy.as_ref(),
                     observer,
                     &snap,
-                    fault_plan.map(|p| FaultWire {
-                        plan: p,
-                        out: &mut fault_summary,
-                    }),
+                    faults,
+                    &mut steals,
                 )?;
-                Ok(scoped_outcome(
-                    out,
+                Ok(Outcome {
+                    outputs: out.outputs,
                     states,
-                    1,
-                    None,
-                    fault_summary,
-                    StealStats::default(),
-                ))
+                    cost: Cost::Rounds(out.rounds),
+                    workers,
+                    steals,
+                    detail: Detail::Scoped {
+                        scoped_deliveries: out.scoped_deliveries,
+                        churn,
+                        faults: fault_summary,
+                    },
+                })
             }
             Backend::Async(options) => {
                 #[cfg(feature = "parallel")]
@@ -1717,55 +1019,27 @@ impl<'g, P: Protocol> Simulation<'g, P> {
                     inputs,
                     Some(options.adversary.name()),
                 )?;
-                let (out, states, summary) = match self.churn {
-                    Some(plan) => {
-                        let run = self
-                            .caps
-                            .async_churn
-                            .ok_or_else(|| mismatch(&self.backend, "asynchronous"))?;
-                        let (out, states, summary) = run(
-                            self.protocol,
-                            self.graph,
-                            inputs,
-                            options.adversary,
-                            &config,
-                            plan,
-                            observer,
-                            &snap,
-                            fault_plan.map(|p| FaultWire {
-                                plan: p,
-                                out: &mut fault_summary,
-                            }),
-                        )?;
-                        (out, states, Some(summary))
-                    }
-                    None => {
-                        let run = self
-                            .caps
-                            .async_run
-                            .ok_or_else(|| mismatch(&self.backend, "asynchronous"))?;
-                        let (out, states) = run(
-                            self.protocol,
-                            self.graph,
-                            inputs,
-                            options.adversary,
-                            &config,
-                            observer,
-                            &snap,
-                            fault_plan.map(|p| FaultWire {
-                                plan: p,
-                                out: &mut fault_summary,
-                            }),
-                        )?;
-                        (out, states, None)
-                    }
-                };
+                let run = self
+                    .caps
+                    .async_run
+                    .ok_or_else(|| mismatch(&self.backend, "asynchronous"))?;
+                let (out, states, churn) = run(
+                    self.protocol,
+                    self.graph,
+                    inputs,
+                    options.adversary,
+                    &config,
+                    self.churn,
+                    observer,
+                    &snap,
+                    faults,
+                )?;
                 Ok(Outcome {
                     outputs: out.outputs,
                     states,
                     cost: Cost::TimeUnits(out.normalized_time),
                     workers: 1,
-                    steals: StealStats::default(),
+                    steals,
                     detail: Detail::Async {
                         completion_time: out.completion_time,
                         time_unit: out.time_unit,
@@ -1773,11 +1047,27 @@ impl<'g, P: Protocol> Simulation<'g, P> {
                         messages_sent: out.messages_sent,
                         deliveries: out.deliveries,
                         lost_overwrites: out.lost_overwrites,
-                        churn: summary,
+                        churn,
                         faults: fault_summary,
                     },
                 })
             }
+        }
+    }
+
+    /// The parallel policy a lockstep run executes under: `None` runs the
+    /// serial loop — no policy set, a build without the `parallel`
+    /// feature, or a policy whose small-instance threshold delegates to
+    /// the serial engine.
+    fn lockstep_policy(&self) -> Option<ParallelPolicy> {
+        #[cfg(feature = "parallel")]
+        {
+            self.policy
+                .filter(|p| !p.use_serial(self.graph.node_count()))
+        }
+        #[cfg(not(feature = "parallel"))]
+        {
+            None
         }
     }
 }
@@ -1861,48 +1151,4 @@ fn config_digest(
         d.bytes(name.as_bytes());
     }
     d.finish()
-}
-
-fn sync_outcome<P: Protocol>(
-    out: SyncOutcome,
-    states: Vec<P::State>,
-    workers: usize,
-    churn: Option<ChurnSummary>,
-    faults: Option<FaultSummary>,
-    steals: StealStats,
-) -> Outcome<P> {
-    Outcome {
-        outputs: out.outputs,
-        states,
-        cost: Cost::Rounds(out.rounds),
-        workers,
-        steals,
-        detail: Detail::Sync {
-            messages_sent: out.messages_sent,
-            churn,
-            faults,
-        },
-    }
-}
-
-fn scoped_outcome<P: Protocol>(
-    out: ScopedOutcome,
-    states: Vec<P::State>,
-    workers: usize,
-    churn: Option<ChurnSummary>,
-    faults: Option<FaultSummary>,
-    steals: StealStats,
-) -> Outcome<P> {
-    Outcome {
-        outputs: out.outputs,
-        states,
-        cost: Cost::Rounds(out.rounds),
-        workers,
-        steals,
-        detail: Detail::Scoped {
-            scoped_deliveries: out.scoped_deliveries,
-            churn,
-            faults,
-        },
-    }
 }

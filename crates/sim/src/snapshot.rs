@@ -1331,11 +1331,13 @@ impl From<SnapshotError> for PersistError {
 /// `sync_all`, **read back and re-parsed** (so a torn or bit-flipped
 /// write is caught before it can shadow a good snapshot), and only then
 /// renamed over `path`. Readers therefore never observe a partial file:
-/// they see either the previous snapshot or the new one.
+/// they see either the previous snapshot or the new one. Returns the
+/// number of bytes written (the frame size), so callers need not encode
+/// the frame a second time to report it.
 pub fn write_snapshot_file(
     path: &std::path::Path,
     snapshot: &Snapshot,
-) -> Result<(), PersistError> {
+) -> Result<u64, PersistError> {
     use std::io::Write as _;
 
     let mut tmp = path.to_path_buf().into_os_string();
@@ -1356,7 +1358,7 @@ pub fn write_snapshot_file(
         return Err(PersistError::Format(e));
     }
     std::fs::rename(&tmp, path)?;
-    Ok(())
+    Ok(bytes.len() as u64)
 }
 
 /// Loads and validates a snapshot frame persisted by

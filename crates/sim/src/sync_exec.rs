@@ -31,12 +31,13 @@ use rand::SeedableRng;
 use stoneage_core::{Letter, MultiFsm, ObsVec};
 use stoneage_graph::{Graph, NodeId};
 
-use crate::engine::PortPlanes;
-use crate::faults::{fault_config, FaultCtx, FaultLayer, FaultSummary, FaultsArg};
-#[cfg(feature = "parallel")]
+use crate::churn::ChurnPlan;
+use crate::faults::{fault_config, FaultCtx, FaultSummary, FaultsArg};
 use crate::parbuf::{ParallelPolicy, StealStats};
-use crate::pipeline::{self, DeliverySink, PortRead, RoundEnd, RoundStep};
-use crate::snapshot::{self, SnapArgs, SnapPlumb, Snapshot, SnapshotError};
+use crate::pipeline::{self, DeliverySink, PortRead, RoundStep};
+use crate::scoped::ScopedDelivery;
+use crate::sim::{ObsArg, RowResult};
+use crate::snapshot::{SnapArgs, Snapshot};
 use crate::{splitmix64, ExecError};
 
 /// Configuration of a synchronous execution.
@@ -119,13 +120,6 @@ pub(crate) fn seed_rngs(n: usize, seed: u64) -> Vec<SmallRng> {
         .collect()
 }
 
-fn collect_outputs<P: MultiFsm>(protocol: &P, states: &[P::State]) -> Vec<u64> {
-    states
-        .iter()
-        .map(|q| protocol.output(q).expect("output configuration"))
-        .collect()
-}
-
 /// The [`RoundStep`] of plain `MultiFsm` protocols: sample δ, then
 /// resolve any non-`ε` emission as a full broadcast (which consumes no
 /// randomness and reads no ports — the simplest pipeline step).
@@ -177,56 +171,12 @@ impl<P: MultiFsm> RoundStep for SyncStep<'_, P> {
 
     fn absorb(_into: &mut (), _from: &mut ()) {}
 
-    fn witness_slice(_witness: &()) -> Option<&[crate::scoped::ScopedDelivery]> {
+    fn witness_slice(_witness: &()) -> Option<&[ScopedDelivery]> {
         None
     }
-}
 
-/// The engine state a plain-sync run starts from: fresh initial states,
-/// planes, and RNG streams — or, when the snapshot args carry a resume
-/// snapshot, the spliced mid-run state plus the loop's resume point. A
-/// sync snapshot body must carry neither a witness transcript nor a
-/// churn cursor, and must carry a fault tally exactly when the run wires
-/// a fault plan; a mismatch means the snapshot belongs to another
-/// backend or configuration.
-type SyncStart<S> = (
-    Vec<S>,
-    PortPlanes,
-    Vec<SmallRng>,
-    SnapPlumb<S>,
-    FaultSummary,
-);
-
-fn sync_start<P: MultiFsm>(
-    protocol: &P,
-    graph: &Graph,
-    inputs: &[usize],
-    seed: u64,
-    snap: &SnapArgs<'_, P::State>,
-    faulted: bool,
-) -> Result<SyncStart<P::State>, ExecError> {
-    let sigma = protocol.alphabet().len();
-    if let Some(s) = snap.resume {
-        let splice = snapshot::resume_lockstep(s, &snap.codec(), graph, sigma)?;
-        if splice.witness.is_some()
-            || splice.churn_next.is_some()
-            || splice.faults.is_some() != faulted
-        {
-            return Err(ExecError::Snapshot(SnapshotError::DigestMismatch {
-                field: "snapshot body kind",
-            }));
-        }
-        let tally = splice.faults.unwrap_or_default();
-        let plumb = SnapPlumb::from_args(snap, Some(splice.point));
-        Ok((splice.states, splice.planes, splice.rngs, plumb, tally))
-    } else {
-        Ok((
-            inputs.iter().map(|&i| protocol.initial_state(i)).collect(),
-            PortPlanes::new(graph, sigma, protocol.initial_letter()),
-            seed_rngs(graph.node_count(), seed),
-            SnapPlumb::from_args(snap, None),
-            FaultSummary::default(),
-        ))
+    fn restore_witness(restored: Option<Vec<ScopedDelivery>>) -> Option<()> {
+        restored.is_none().then_some(())
     }
 }
 
@@ -247,140 +197,62 @@ pub(crate) fn compile_faults<'a>(
     }
 }
 
-fn sync_end<P: MultiFsm>(
-    protocol: &P,
-    states: Vec<P::State>,
-    end: RoundEnd,
-) -> Result<(SyncOutcome, Vec<P::State>), ExecError> {
-    match end {
-        RoundEnd::Done { rounds, sent } => {
-            let outputs = collect_outputs(protocol, &states);
-            Ok((
-                SyncOutcome {
-                    outputs,
-                    rounds,
-                    messages_sent: sent,
-                },
-                states,
-            ))
-        }
-        RoundEnd::Limit { limit, unfinished } => Err(ExecError::RoundLimit { limit, unfinished }),
-    }
-}
-
-/// The serial synchronous engine: the shared [`crate::pipeline`] round
-/// loop over an epoch-split [`PortPlanes`] store, invoking `observer`
-/// after every round, returning the final per-node state vector next to
-/// the legacy outcome. The [`crate::Simulation`] builder and (through
-/// it) every legacy `run_sync*` shim land here.
+/// The synchronous engine: the shared lockstep body
+/// ([`pipeline::exec_lockstep`]) with the plain-broadcast [`SyncStep`],
+/// returning the final per-node state vector next to the legacy outcome
+/// and, under a churn plan, the [`crate::ChurnSummary`]. The
+/// [`crate::Simulation`] builder's Sync row points here.
 ///
-/// Inputs are validated by the builder; this function assumes
-/// `inputs.len() == graph.node_count()`.
-pub(crate) fn exec_sync<P: MultiFsm, O: SyncObserver<P::State>>(
-    protocol: &P,
-    graph: &Graph,
-    inputs: &[usize],
-    config: &SyncConfig,
-    observer: &mut O,
-    snap: &SnapArgs<'_, P::State>,
-    faults: FaultsArg<'_>,
-) -> Result<(SyncOutcome, Vec<P::State>), ExecError> {
-    debug_assert_eq!(
-        inputs.len(),
-        graph.node_count(),
-        "the builder validates input length"
-    );
-    let (fctx, fout) = compile_faults(faults, graph, protocol.alphabet().len())?;
-    let (mut states, mut planes, mut rngs, plumb, tally) =
-        sync_start(protocol, graph, inputs, config.seed, snap, fctx.is_some())?;
-    let mut layer = FaultLayer::new(fctx.as_ref(), tally);
-    let end = pipeline::run_serial(
-        &SyncStep(protocol),
-        graph,
-        &mut planes,
-        &mut states,
-        &mut rngs,
-        config.max_rounds,
-        observer,
-        &mut (),
-        &plumb,
-        &mut layer,
-    );
-    if let Some(out) = fout {
-        *out = Some(layer.tally);
-    }
-    sync_end(protocol, states, end)
-}
-
-/// The fully parallel synchronous executor: the shared
-/// [`crate::pipeline`] parallel round loop, scheduled per the policy's
-/// [`crate::parbuf::RoundMode`] — `Joined` (phase 1 + 2a scope, join,
-/// phase-2b merge under the policy's
-/// [`crate::parbuf::MergeStrategy`]) or `Fused` (the previous round's
-/// phase 2b landed on per-worker [`crate::engine::PlaneShard`]s inside
-/// the next round's scope; one join per round).
-///
-/// Because every node owns an independent seeded RNG, phase 1 reads only
-/// the frozen read plane, and every flat slot is written at most once
-/// per round (see the [`crate::parbuf`] and [`crate::pipeline`] module
-/// docs for the full argument), outputs, rounds, and message counts are
-/// **bit-identical** to [`exec_sync`] for every seed, policy, worker
-/// count, merge strategy, and round mode. The [`crate::Simulation`]
-/// builder delegates to the serial engine outright when
-/// [`ParallelPolicy::use_serial`] says the instance is too small, so
-/// this function always runs the chunked machinery.
-///
-/// `observer` fires after each round's states are complete — the same
-/// post-round states the serial engine reports.
+/// With a `policy` the round loop is the parallel pipeline, scheduled
+/// per the policy's [`crate::parbuf::RoundMode`] and
+/// [`crate::parbuf::ChunkScheduler`]. Because every node owns an
+/// independent seeded RNG, phase 1 reads only the frozen read plane, and
+/// every flat slot is written at most once per round (see the
+/// [`crate::parbuf`] and [`crate::pipeline`] module docs), outputs,
+/// rounds, and message counts are **bit-identical** to the serial loop
+/// for every seed, policy, worker count, merge strategy, round mode, and
+/// churn plan.
 ///
 /// (The `rayon` crate is not vendored in this offline build; the `rayon`
 /// cargo feature is an alias of `parallel` and selects this same
 /// `std::thread`-based implementation.)
-#[cfg(feature = "parallel")]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_sync_parallel<P, O>(
+pub(crate) fn exec_sync<P>(
     protocol: &P,
     graph: &Graph,
     inputs: &[usize],
     config: &SyncConfig,
-    policy: &ParallelPolicy,
-    observer: &mut O,
+    plan: Option<&ChurnPlan>,
+    policy: Option<&ParallelPolicy>,
+    observer: ObsArg<'_, P::State>,
     snap: &SnapArgs<'_, P::State>,
     faults: FaultsArg<'_>,
     steals: &mut StealStats,
-) -> Result<(SyncOutcome, Vec<P::State>), ExecError>
+) -> RowResult<SyncOutcome, P::State>
 where
     P: MultiFsm + Sync,
     P::State: Send + Sync,
-    O: SyncObserver<P::State>,
 {
-    debug_assert_eq!(
-        inputs.len(),
-        graph.node_count(),
-        "the builder validates input length"
-    );
-    let (fctx, fout) = compile_faults(faults, graph, protocol.alphabet().len())?;
-    let (mut states, mut planes, mut rngs, plumb, tally) =
-        sync_start(protocol, graph, inputs, config.seed, snap, fctx.is_some())?;
-    let mut layer = FaultLayer::new(fctx.as_ref(), tally);
-    let end = pipeline::run_parallel(
+    let run = pipeline::exec_lockstep(
+        protocol,
         &SyncStep(protocol),
         graph,
-        &mut planes,
-        &mut states,
-        &mut rngs,
+        inputs,
+        config,
+        seed_rngs,
+        plan,
         policy,
-        config.max_rounds,
         observer,
-        &mut (),
-        &plumb,
-        &mut layer,
+        snap,
+        faults,
         steals,
-    );
-    if let Some(out) = fout {
-        *out = Some(layer.tally);
-    }
-    sync_end(protocol, states, end)
+    )?;
+    let outcome = SyncOutcome {
+        outputs: run.outputs,
+        rounds: run.rounds,
+        messages_sent: run.sent,
+    };
+    Ok((outcome, run.states, run.churn))
 }
 
 #[cfg(test)]

@@ -286,9 +286,18 @@ fn invalid_builder_states_are_config_errors_not_panics() {
         .unwrap_err();
     assert!(matches!(err, ExecError::Config { .. }), "{err}");
 
-    // Backend the protocol's transition flavor cannot drive.
+    // Backend the protocol's transition flavor cannot drive — also with
+    // a churn plan and (under `parallel`) a policy, which every flavor's
+    // one capability row serves.
+    let empty = stoneage_sim::ChurnPlan::new();
     let err = Simulation::sync(&p, &g)
         .backend(Backend::Scoped)
+        .run()
+        .unwrap_err();
+    assert!(matches!(err, ExecError::Config { .. }), "{err}");
+    let err = Simulation::sync(&p, &g)
+        .backend(Backend::Scoped)
+        .with_churn(&empty)
         .run()
         .unwrap_err();
     assert!(matches!(err, ExecError::Config { .. }), "{err}");
@@ -300,6 +309,32 @@ fn invalid_builder_states_are_config_errors_not_panics() {
         .run()
         .unwrap_err();
     assert!(matches!(err, ExecError::Config { .. }), "{err}");
+    let err = Simulation::asynchronous(&pf, &g, &adv)
+        .backend(Backend::Sync)
+        .with_churn(&empty)
+        .run()
+        .unwrap_err();
+    assert!(matches!(err, ExecError::Config { .. }), "{err}");
+
+    #[cfg(feature = "parallel")]
+    {
+        use stoneage_sim::{MergeStrategy, ParallelPolicy};
+        let policy = ParallelPolicy::forced(2, MergeStrategy::DestinationSharded);
+        let err = Simulation::sync(&p, &g)
+            .backend(Backend::Scoped)
+            .with_churn(&empty)
+            .parallel(policy)
+            .run()
+            .unwrap_err();
+        assert!(matches!(err, ExecError::Config { .. }), "{err}");
+        let err = Simulation::asynchronous(&pf, &g, &adv)
+            .backend(Backend::Sync)
+            .with_churn(&empty)
+            .parallel(policy)
+            .run()
+            .unwrap_err();
+        assert!(matches!(err, ExecError::Config { .. }), "{err}");
+    }
 }
 
 proptest! {

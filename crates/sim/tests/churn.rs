@@ -15,7 +15,8 @@
 //!    frozen-read-plane argument intact — see the `churn` module docs).
 //! 3. **Empty plan ≡ churn-free engine.** `with_churn(&ChurnPlan::new())`
 //!    is bit-identical to not calling `with_churn` at all, on all three
-//!    backends — the churn drivers are pure supersets.
+//!    backends and (under `parallel`) on every lockstep schedule — the
+//!    empty plan is the no-op boundary hook of the one round pipeline.
 //! 4. **Pinned fingerprints.** A recorded churn panel guards against
 //!    silent drift, exactly like the churn-free pinned panels.
 
@@ -310,7 +311,9 @@ proptest! {
 mod parallel {
     use super::*;
     use stoneage_sim::{MergeStrategy, ParallelPolicy};
-    use stoneage_testkit::{adversarial_worker_counts as worker_counts, round_modes};
+    use stoneage_testkit::{
+        adversarial_worker_counts as worker_counts, chunk_schedulers, round_modes,
+    };
 
     fn run_sync_churn_par(
         protocol: &AsMulti<stoneage_core::TableProtocol>,
@@ -386,6 +389,55 @@ mod parallel {
                             );
                             assert_eq!(s_sum, serial_scoped_sum, "{ctx}: scoped summary");
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Contract 3 on the parallel pipeline: the empty plan is
+    /// bit-identical to the churn-free run for every worker count × round
+    /// mode × chunk scheduler, on both lockstep backends.
+    #[test]
+    fn empty_plan_matches_churn_free_on_every_schedule() {
+        let empty = ChurnPlan::new();
+        let sync_p = AsMulti(random_beeper(4, 2));
+        let poke = Poke::new();
+        for (name, g) in graph_family() {
+            for workers in worker_counts() {
+                for round in round_modes() {
+                    for scheduler in chunk_schedulers() {
+                        let policy =
+                            ParallelPolicy::forced(workers, MergeStrategy::DestinationSharded)
+                                .with_round(round)
+                                .with_scheduler(scheduler);
+                        let ctx = format!("{name}/w{workers}/{round:?}/{scheduler:?}");
+                        let (with, _) = run_sync_churn_par(&sync_p, &g, 7, &empty, &policy);
+                        let without = Simulation::sync(&sync_p, &g)
+                            .seed(7)
+                            .parallel(policy)
+                            .run()
+                            .unwrap()
+                            .into_sync_outcome()
+                            .unwrap();
+                        assert_eq!(
+                            sync_fingerprint(&with),
+                            sync_fingerprint(&without),
+                            "{ctx}: sync"
+                        );
+                        let (with, _) = run_scoped_churn_par(&poke, &g, 7, &empty, &policy);
+                        let without = Simulation::scoped(&poke, &g)
+                            .seed(7)
+                            .parallel(policy)
+                            .run()
+                            .unwrap()
+                            .into_scoped_outcome()
+                            .unwrap();
+                        assert_eq!(
+                            scoped_fingerprint(&with),
+                            scoped_fingerprint(&without),
+                            "{ctx}: scoped"
+                        );
                     }
                 }
             }

@@ -332,7 +332,7 @@ fn steal_counters_surface_on_outcome() {
 }
 
 /// The documented churn contract of the planner (see
-/// `churn::run_parallel_churn`): the shard plan is built **once** over
+/// `pipeline::run_parallel`): the shard plan is built **once** over
 /// the closed universe CSR and stays valid for the whole run — churn
 /// patches toggle letters and tombstones inside the fixed layout, never
 /// the slot counts the planner balances on. Pinned here as (a) full
