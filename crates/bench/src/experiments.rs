@@ -105,13 +105,13 @@ pub fn e01_figure1() -> Table {
                 let mut c = [0usize; 7];
                 c[d.letter().index()] = 1;
                 let tr = p.delta(&s, &obs(c));
-                assert_eq!(tr.choices, vec![(s, None)], "{s:?} delayed by {d:?}");
+                assert_eq!(tr.choices(), vec![(s, None)], "{s:?} delayed by {d:?}");
                 format!("{d:?}")
             })
             .collect();
         let quiet = p
             .delta(&s, &zero)
-            .choices
+            .choices()
             .iter()
             .map(|(q, _)| format!("{q:?}"))
             .collect::<Vec<_>>()
@@ -121,14 +121,14 @@ pub fn e01_figure1() -> Table {
                 let mut c = [0usize; 7];
                 c[S::Win.letter().index()] = 1;
                 let tr = p.delta(&s, &obs(c));
-                format!("hear WIN → {:?}", tr.choices[0].0)
+                format!("hear WIN → {:?}", tr.choices()[0].0)
             }
             S::Up0 | S::Up1 | S::Up2 => {
                 let j = s.up_index().unwrap();
                 let mut c = [0usize; 7];
                 c[S::up(j + 1).letter().index()] = 1;
                 let tr = p.delta(&s, &obs(c));
-                format!("rival → {:?} | {:?}", tr.choices[0].0, tr.choices[1].0)
+                format!("rival → {:?} | {:?}", tr.choices()[0].0, tr.choices()[1].0)
             }
             _ => "—".to_owned(),
         };
@@ -166,7 +166,7 @@ pub fn mis_figure1_dot() -> String {
         if !s.is_active() {
             continue;
         }
-        for (q, _) in p.delta(&s, &obs([0; 7])).choices {
+        for (q, _) in p.delta(&s, &obs([0; 7])).choices() {
             writeln!(out, "  {s:?} -> {q:?} [label=\"quiet\"];").unwrap();
         }
         if let Some(j) = s.up_index() {
@@ -176,7 +176,7 @@ pub fn mis_figure1_dot() -> String {
             writeln!(
                 out,
                 "  {s:?} -> {:?} [label=\"rival,tails\"];",
-                tr.choices[1].0
+                tr.choices()[1].0
             )
             .unwrap();
         }
@@ -184,7 +184,12 @@ pub fn mis_figure1_dot() -> String {
             let mut c = [0usize; 7];
             c[S::Win.letter().index()] = 1;
             let tr = p.delta(&s, &obs(c));
-            writeln!(out, "  {s:?} -> {:?} [label=\"#WIN≥1\"];", tr.choices[0].0).unwrap();
+            writeln!(
+                out,
+                "  {s:?} -> {:?} [label=\"#WIN≥1\"];",
+                tr.choices()[0].0
+            )
+            .unwrap();
         }
     }
     out.push_str("}\n");
@@ -202,7 +207,7 @@ pub fn e02_mis_scaling(scale: Scale) -> Table {
     for family in MIS_FAMILIES {
         for &n in scale.mis_sizes() {
             let mut rounds = Vec::new();
-            let mut valid = 0usize;
+            let mut valid = 0u64;
             for seed in 0..scale.reps() {
                 let g = mis_family(family, n, seed);
                 let out = run_sync(&MisProtocol::new(), &g, &SyncConfig::seeded(seed * 97 + 1))
@@ -212,6 +217,12 @@ pub fn e02_mis_scaling(scale: Scale) -> Table {
                 }
                 rounds.push(out.rounds as f64);
             }
+            assert_eq!(
+                valid,
+                scale.reps(),
+                "E2 row {family}/n={n}: only {valid}/{} outputs were a maximal independent set",
+                scale.reps()
+            );
             let ratio = mean(&rounds) / (log2(n) * log2(n));
             worst_ratio = worst_ratio.max(ratio);
             t.row(vec![
@@ -351,7 +362,7 @@ pub fn e05_tree_coloring(scale: Scale) -> Table {
     for (name, gen) in families {
         for &n in scale.tree_sizes() {
             let mut rounds = Vec::new();
-            let mut valid = 0usize;
+            let mut valid = 0u64;
             for seed in 0..scale.reps() {
                 let g = gen(n, seed);
                 let out = run_sync(
@@ -368,6 +379,12 @@ pub fn e05_tree_coloring(scale: Scale) -> Table {
                 }
                 rounds.push(out.rounds as f64);
             }
+            assert_eq!(
+                valid,
+                scale.reps(),
+                "E5 row {name}/n={n}: only {valid}/{} outputs were a proper 3-coloring",
+                scale.reps()
+            );
             let ratio = mean(&rounds) / log2(n);
             worst = worst.max(ratio);
             t.row(vec![
@@ -840,7 +857,7 @@ pub fn e14_matching(scale: Scale) -> Table {
         for &n in scale.mis_sizes() {
             let mut ours = Vec::new();
             let mut mp = Vec::new();
-            let mut valid = 0usize;
+            let mut valid = 0u64;
             for seed in 0..scale.reps() {
                 let g = gen(n, seed + 29);
                 let out = stoneage_protocols::run_matching(&g, seed, 10_000_000)
@@ -851,6 +868,12 @@ pub fn e14_matching(scale: Scale) -> Table {
                 ours.push(out.rounds as f64);
                 mp.push(mp_matching::proposal_matching(&g, seed).rounds as f64);
             }
+            assert_eq!(
+                valid,
+                scale.reps(),
+                "E14 row {family}/n={n}: only {valid}/{} runs produced a maximal matching",
+                scale.reps()
+            );
             t.row(vec![
                 family.into(),
                 n.into(),

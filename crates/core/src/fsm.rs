@@ -9,58 +9,126 @@ use crate::{Alphabet, BoundedCount, Letter};
 /// (emission `None` is the empty symbol `ε` — no transmission).
 ///
 /// A well-formed protocol never returns an empty choice set (the node would
-/// have no successor configuration).
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// have no successor configuration); the constructors enforce this.
+///
+/// Sets of one or two pairs — every deterministic transition and the
+/// paper protocols' fair coins — are stored inline, so building and
+/// sampling them never touches the heap; larger sets spill to a `Vec`.
+#[derive(Clone)]
 pub struct Transitions<S> {
-    /// The candidate `(next state, emission)` pairs.
-    pub choices: Vec<(S, Option<Letter>)>,
+    choices: Choices<S>,
+}
+
+/// The storage of a [`Transitions`]: `Many` always holds three or more
+/// pairs.
+#[derive(Clone)]
+enum Choices<S> {
+    One([(S, Option<Letter>); 1]),
+    Two([(S, Option<Letter>); 2]),
+    Many(Vec<(S, Option<Letter>)>),
 }
 
 impl<S> Transitions<S> {
     /// A deterministic transition: a single choice.
     pub fn det(state: S, emission: Option<Letter>) -> Self {
         Transitions {
-            choices: vec![(state, emission)],
+            choices: Choices::One([(state, emission)]),
         }
     }
 
-    /// A uniform choice among the given pairs.
+    /// A uniform choice among the given pairs, in the given order.
     ///
     /// # Panics
     /// Panics if `choices` is empty.
-    pub fn uniform(choices: Vec<(S, Option<Letter>)>) -> Self {
-        assert!(!choices.is_empty(), "δ must offer at least one successor");
+    pub fn uniform(choices: impl IntoIterator<Item = (S, Option<Letter>)>) -> Self {
+        let mut it = choices.into_iter();
+        let Some(a) = it.next() else {
+            panic!("δ must offer at least one successor");
+        };
+        let choices = match it.next() {
+            None => Choices::One([a]),
+            Some(b) => match it.next() {
+                None => Choices::Two([a, b]),
+                Some(c) => Choices::Many([a, b, c].into_iter().chain(it).collect()),
+            },
+        };
         Transitions { choices }
+    }
+
+    /// The candidate `(next state, emission)` pairs, in draw order.
+    pub fn choices(&self) -> &[(S, Option<Letter>)] {
+        match &self.choices {
+            Choices::One(one) => one,
+            Choices::Two(two) => two,
+            Choices::Many(many) => many,
+        }
     }
 
     /// Number of candidate pairs.
     pub fn len(&self) -> usize {
-        self.choices.len()
+        self.choices().len()
     }
 
-    /// Whether the choice set is empty (ill-formed).
+    /// Whether the choice set is empty (never, for a constructed set).
     pub fn is_empty(&self) -> bool {
-        self.choices.is_empty()
+        self.choices().is_empty()
     }
 
-    /// Picks one pair uniformly at random using the supplied RNG.
-    ///
-    /// # Panics
-    /// Panics if the choice set is empty.
+    /// Picks one pair uniformly at random using the supplied RNG: one
+    /// `gen_range(0..len)` draw, made only when `len > 1`.
     pub fn sample<R: rand::Rng + ?Sized>(&self, rng: &mut R) -> &(S, Option<Letter>) {
-        assert!(!self.choices.is_empty(), "empty transition set");
-        if self.choices.len() == 1 {
-            &self.choices[0]
+        let choices = self.choices();
+        if choices.len() == 1 {
+            &choices[0]
         } else {
-            &self.choices[rng.gen_range(0..self.choices.len())]
+            &choices[rng.gen_range(0..choices.len())]
+        }
+    }
+
+    /// Moves out the pair [`Transitions::sample`] would pick: the same
+    /// draw from `rng`, without cloning the chosen state.
+    pub fn into_sample<R: rand::Rng + ?Sized>(self, rng: &mut R) -> (S, Option<Letter>) {
+        match self.choices {
+            Choices::One([pair]) => pair,
+            Choices::Two([a, b]) => {
+                if rng.gen_range(0..2usize) == 0 {
+                    a
+                } else {
+                    b
+                }
+            }
+            Choices::Many(mut many) => {
+                let i = rng.gen_range(0..many.len());
+                many.swap_remove(i)
+            }
         }
     }
 
     /// Maps the state type, preserving emissions and choice order.
     pub fn map_states<T, F: FnMut(S) -> T>(self, mut f: F) -> Transitions<T> {
-        Transitions {
-            choices: self.choices.into_iter().map(|(s, e)| (f(s), e)).collect(),
-        }
+        let mut pair = |(s, e): (S, Option<Letter>)| (f(s), e);
+        let choices = match self.choices {
+            Choices::One([a]) => Choices::One([pair(a)]),
+            Choices::Two([a, b]) => Choices::Two([pair(a), pair(b)]),
+            Choices::Many(many) => Choices::Many(many.into_iter().map(pair).collect()),
+        };
+        Transitions { choices }
+    }
+}
+
+impl<S: PartialEq> PartialEq for Transitions<S> {
+    fn eq(&self, other: &Self) -> bool {
+        self.choices() == other.choices()
+    }
+}
+
+impl<S: Eq> Eq for Transitions<S> {}
+
+impl<S: std::fmt::Debug> std::fmt::Debug for Transitions<S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Transitions")
+            .field("choices", &self.choices())
+            .finish()
     }
 }
 
@@ -123,6 +191,29 @@ pub trait Fsm: Protocol {
 
     /// The transition function `δ(q, f_b(#λ(q)))`.
     fn delta(&self, q: &Self::State, observed: BoundedCount) -> Transitions<Self::State>;
+
+    /// One node step applied in place: `q` becomes the pair drawn
+    /// uniformly from `δ(q, observed)`, and the pair's emission is
+    /// returned. The engines call this, not [`Fsm::delta`], on their hot
+    /// paths.
+    ///
+    /// **Contract.** The next state, the emission and the draws taken
+    /// from `rng` are exactly those of
+    /// `delta(q, observed).into_sample(rng)` — which is the default. A
+    /// protocol implements `delta` and leaves `step` alone; override it
+    /// only where δ must clone state that a step can mutate in place
+    /// (the compilers [`crate::Synchronized`] and [`crate::SingleLetter`]
+    /// do), and draw identically in the override.
+    fn step<R: rand::Rng + ?Sized>(
+        &self,
+        q: &mut Self::State,
+        observed: BoundedCount,
+        rng: &mut R,
+    ) -> Option<Letter> {
+        let (next, emission) = self.delta(q, observed).into_sample(rng);
+        *q = next;
+        emission
+    }
 }
 
 /// The observation available under **multiple-letter queries**
@@ -219,6 +310,20 @@ impl ObsVec {
 pub trait MultiFsm: Protocol {
     /// The transition function over the full observation vector.
     fn delta(&self, q: &Self::State, obs: &ObsVec) -> Transitions<Self::State>;
+
+    /// One node step applied in place, under the same contract as
+    /// [`Fsm::step`]: the result of `delta(q, obs).into_sample(rng)`,
+    /// which is the default.
+    fn step<R: rand::Rng + ?Sized>(
+        &self,
+        q: &mut Self::State,
+        obs: &ObsVec,
+        rng: &mut R,
+    ) -> Option<Letter> {
+        let (next, emission) = self.delta(q, obs).into_sample(rng);
+        *q = next;
+        emission
+    }
 }
 
 /// Adapter viewing a single-letter [`Fsm`] as a [`MultiFsm`] that happens
@@ -256,6 +361,16 @@ impl<P: Fsm> Protocol for AsMulti<P> {
 impl<P: Fsm> MultiFsm for AsMulti<P> {
     fn delta(&self, q: &Self::State, obs: &ObsVec) -> Transitions<Self::State> {
         self.0.delta(q, obs.get(self.0.query(q)))
+    }
+
+    fn step<R: rand::Rng + ?Sized>(
+        &self,
+        q: &mut Self::State,
+        obs: &ObsVec,
+        rng: &mut R,
+    ) -> Option<Letter> {
+        let observed = obs.get(self.0.query(q));
+        self.0.step(q, observed, rng)
     }
 }
 
@@ -311,7 +426,7 @@ mod tests {
     fn map_states_preserves_emissions() {
         let t: Transitions<u8> = Transitions::uniform(vec![(1, Some(Letter(0))), (2, None)]);
         let t2 = t.map_states(|s| s as u32 * 10);
-        assert_eq!(t2.choices, vec![(10u32, Some(Letter(0))), (20u32, None)]);
+        assert_eq!(t2.choices(), [(10u32, Some(Letter(0))), (20u32, None)]);
     }
 
     #[test]

@@ -14,6 +14,11 @@
 //! semantics provided by [`crate::Synchronized`] — see that module's
 //! documentation) all nodes stay on the same subround schedule and every
 //! gather observes the counts as of the previous simulated round.
+//!
+//! The in-place [`Fsm::step`] pushes each subround's count onto the
+//! node's own gather buffer and clears it when the round completes, so
+//! the buffer keeps its capacity from round to round; [`Fsm::delta`]
+//! builds the same successor on a copy.
 
 use crate::{Alphabet, BoundedCount, Fsm, Letter, MultiFsm, ObsVec, Transitions};
 
@@ -53,6 +58,17 @@ impl<P: MultiFsm> SingleLetter<P> {
     /// compiled rounds.
     pub fn rounds_per_round(&self) -> usize {
         self.inner.alphabet().len()
+    }
+
+    /// The wrapped round's observation vector from a complete gather.
+    fn observation(&self, counts: &[u8]) -> ObsVec {
+        let b = self.inner.bound();
+        ObsVec::new(
+            counts
+                .iter()
+                .map(|&raw| BoundedCount::from_raw(raw, b))
+                .collect(),
+        )
     }
 }
 
@@ -104,19 +120,27 @@ impl<P: MultiFsm> Fsm for SingleLetter<P> {
             );
         }
         // Observation vector complete: simulate the wrapped round.
-        let b = self.inner.bound();
-        let obs = ObsVec::new(
-            counts
-                .iter()
-                .map(|&raw| BoundedCount::from_raw(raw, b))
-                .collect(),
-        );
         self.inner
-            .delta(&q.inner, &obs)
+            .delta(&q.inner, &self.observation(&counts))
             .map_states(|inner| GatherState {
                 inner,
                 counts: Vec::new(),
             })
+    }
+
+    fn step<R: rand::Rng + ?Sized>(
+        &self,
+        q: &mut Self::State,
+        observed: BoundedCount,
+        rng: &mut R,
+    ) -> Option<Letter> {
+        q.counts.push(observed.raw());
+        if q.counts.len() < self.inner.alphabet().len() {
+            return None;
+        }
+        let obs = self.observation(&q.counts);
+        q.counts.clear();
+        self.inner.step(&mut q.inner, &obs, rng)
     }
 }
 
@@ -198,15 +222,15 @@ mod tests {
 
         // Subround 1: observe #x = 1 (truncated at b = 2).
         let t = p.delta(&q0, fb(1, 2));
-        assert_eq!(t.choices.len(), 1);
-        let (q1, e1) = &t.choices[0];
+        assert_eq!(t.choices().len(), 1);
+        let (q1, e1) = &t.choices()[0];
         assert_eq!(e1, &None);
         assert_eq!(q1.counts, vec![1]);
         assert_eq!(p.query(q1), Letter(1));
 
         // Subround 2: observe #y = 5 → truncated to 2; round completes.
         let t = p.delta(q1, fb(5, 2));
-        let (q2, e2) = &t.choices[0];
+        let (q2, e2) = &t.choices()[0];
         assert_eq!(e2, &Some(Letter(1))); // inner emitted y because #x > 0
         assert_eq!(q2.inner, ToyState::Done(10 + 1 + 20));
         assert_eq!(q2.counts.len(), 0);
@@ -232,9 +256,9 @@ mod tests {
         let p = SingleLetter::new(Toy::new());
         let q0 = p.initial_state(0);
         let t = p.delta(&q0, fb(0, 2));
-        let (q1, _) = &t.choices[0];
+        let (q1, _) = &t.choices()[0];
         let t = p.delta(q1, fb(0, 2));
-        let (q2, e) = &t.choices[0];
+        let (q2, e) = &t.choices()[0];
         assert_eq!(e, &None);
         assert_eq!(p.output(q2), Some(10));
     }

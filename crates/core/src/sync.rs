@@ -45,6 +45,19 @@
 //! synchronous execution — the guarantee the [`crate::SingleLetter`]
 //! construction (Theorem 3.4) relies on when the two compilers are stacked
 //! as `Synchronized<SingleLetter<P>>`.
+//!
+//! # Stepping in place
+//!
+//! All but one of every `(|Σ|+1)² + 3(|Σ|+1)` compiled steps of a quiet
+//! phase (88 for the paper's MIS after [`crate::SingleLetter`]) are
+//! bookkeeping: a pause check or a scan step that bumps a counter. The
+//! compiled δ is written once, as an in-place helper that both
+//! [`Fsm::delta`] (on a clone of the state) and the engines' hot-path
+//! [`Fsm::step`] (on the node's own state) run. A step therefore clones
+//! the inner state only when a feature hands over to the next — pausing
+//! to simulating, and simulating to the next round's pausing — and the
+//! simulated round itself is applied with the inner protocol's own
+//! in-place `step`, drawing exactly as sampling δ does.
 
 use crate::{Alphabet, BoundedCount, Fsm, Letter, Transitions};
 
@@ -224,22 +237,95 @@ impl<P: Fsm> Synchronized<P> {
         s1 * s1
     }
 
-    fn start_sim(
+    /// The bookkeeping half of one compiled step, applied to `q` in
+    /// place: a pause check or a scan step. Returns `None` when the step
+    /// was bookkeeping only (its emission is `ε`), and
+    /// `Some(f_b(φ₁ + φ₂))` — leaving `q` untouched — when the `Φ₃` scan
+    /// just confirmed `φ₁`, i.e. when the simulated round must now apply
+    /// the inner δ to that count (see [`Synchronized::end_round`]).
+    ///
+    /// Both [`Fsm::delta`] and [`Fsm::step`] run this one transcription
+    /// of the pausing and simulating features. The inner state is cloned
+    /// only when the pausing feature hands over to the simulating one.
+    fn advance(&self, q: &mut SyncState<P::State>, observed: BoundedCount) -> Option<BoundedCount> {
+        let b = self.inner.bound();
+        match q {
+            SyncState::Pause {
+                inner,
+                retained,
+                trit,
+                check,
+            } => {
+                // A dirty letter holds the node in place; a clean check
+                // moves on to the next one.
+                if observed.is_zero() {
+                    *check += 1;
+                    if *check == self.pause_checks() {
+                        *q = SyncState::Sim {
+                            inner: inner.clone(),
+                            retained: *retained,
+                            trit: *trit,
+                            scan: Scan::Phi1,
+                            idx: 0,
+                            acc: 0,
+                            phi1: 0,
+                            phi2: 0,
+                        };
+                    }
+                }
+                None
+            }
+            SyncState::Sim {
+                scan,
+                idx,
+                acc,
+                phi1,
+                phi2,
+                ..
+            } => {
+                let new_acc = (*acc + observed.raw()).min(b);
+                if (*idx as usize) < self.sigma() {
+                    *idx += 1;
+                    *acc = new_acc;
+                    return None;
+                }
+                match scan {
+                    Scan::Phi1 => (*scan, *phi1, *phi2) = (Scan::Phi2, new_acc, 0),
+                    Scan::Phi2 => (*scan, *phi2) = (Scan::Phi3, new_acc),
+                    Scan::Phi3 if new_acc == *phi1 => {
+                        return Some(BoundedCount::from_raw((*phi1 + *phi2).min(b), b));
+                    }
+                    // The Γ_{t-1} count moved underneath us: restart the
+                    // simulating feature from scratch.
+                    Scan::Phi3 => (*scan, *phi1, *phi2) = (Scan::Phi1, 0, 0),
+                }
+                (*idx, *acc) = (0, 0);
+                None
+            }
+        }
+    }
+
+    /// The end of a simulated round: the node enters the next round's
+    /// pausing feature in inner state `next` and transmits
+    /// `M_v(t) = (retained after t-1, retained after t, t mod 3)` — an
+    /// `ε` inner emission leaves the retained letter unchanged, exactly
+    /// like a port under (S2).
+    fn end_round(
         &self,
-        inner: P::State,
+        next: P::State,
+        emission: Option<Letter>,
         retained: Option<Letter>,
         trit: u8,
-    ) -> SyncState<P::State> {
-        SyncState::Sim {
-            inner,
-            retained,
-            trit,
-            scan: Scan::Phi1,
-            idx: 0,
-            acc: 0,
-            phi1: 0,
-            phi2: 0,
-        }
+    ) -> (SyncState<P::State>, Option<Letter>) {
+        let new_retained = emission.or(retained);
+        let message = self.encode_message(retained, new_retained, trit);
+        let state = SyncState::Pause {
+            inner: next,
+            retained: new_retained,
+            trit: (trit + 1) % 3,
+            check: 0,
+        };
+        (state, Some(message))
     }
 }
 
@@ -304,125 +390,51 @@ impl<P: Fsm> Fsm for Synchronized<P> {
     }
 
     fn delta(&self, q: &Self::State, observed: BoundedCount) -> Transitions<Self::State> {
-        let b = self.inner.bound();
-        match q {
-            SyncState::Pause {
-                inner,
-                retained,
-                trit,
-                check,
-            } => {
-                if !observed.is_zero() {
-                    // A dirty letter is present: stay put, transmit ε.
-                    return Transitions::det(q.clone(), None);
-                }
-                let next_check = check + 1;
-                if next_check < self.pause_checks() {
-                    Transitions::det(
-                        SyncState::Pause {
-                            inner: inner.clone(),
-                            retained: *retained,
-                            trit: *trit,
-                            check: next_check,
-                        },
-                        None,
-                    )
-                } else {
-                    Transitions::det(self.start_sim(inner.clone(), *retained, *trit), None)
-                }
-            }
-            SyncState::Sim {
-                inner,
-                retained,
-                trit,
-                scan,
-                idx,
-                acc,
-                phi1,
-                phi2,
-            } => {
-                let new_acc = (acc + observed.raw()).min(b);
-                let last = *idx as usize == self.sigma();
-                if !last {
-                    return Transitions::det(
-                        SyncState::Sim {
-                            inner: inner.clone(),
-                            retained: *retained,
-                            trit: *trit,
-                            scan: *scan,
-                            idx: idx + 1,
-                            acc: new_acc,
-                            phi1: *phi1,
-                            phi2: *phi2,
-                        },
-                        None,
-                    );
-                }
-                match scan {
-                    Scan::Phi1 => Transitions::det(
-                        SyncState::Sim {
-                            inner: inner.clone(),
-                            retained: *retained,
-                            trit: *trit,
-                            scan: Scan::Phi2,
-                            idx: 0,
-                            acc: 0,
-                            phi1: new_acc,
-                            phi2: 0,
-                        },
-                        None,
-                    ),
-                    Scan::Phi2 => Transitions::det(
-                        SyncState::Sim {
-                            inner: inner.clone(),
-                            retained: *retained,
-                            trit: *trit,
-                            scan: Scan::Phi3,
-                            idx: 0,
-                            acc: 0,
-                            phi1: *phi1,
-                            phi2: new_acc,
-                        },
-                        None,
-                    ),
-                    Scan::Phi3 => {
-                        if new_acc != *phi1 {
-                            // The Γ_{t-1} count moved underneath us: restart
-                            // the simulating feature from scratch.
-                            return Transitions::det(
-                                self.start_sim(inner.clone(), *retained, *trit),
-                                None,
-                            );
-                        }
-                        // Stable: simulate δ(q, f_b(φ₁ + φ₂)) and transmit
-                        // M_v(t) = (retained after t-1, retained after t,
-                        // t mod 3) — an ε emission leaves the retained
-                        // letter unchanged, exactly like a port under (S2).
-                        let count = BoundedCount::from_raw((phi1 + phi2).min(b), b);
-                        let inner_transitions = self.inner.delta(inner, count);
-                        let next_trit = (trit + 1) % 3;
-                        let choices = inner_transitions
-                            .choices
-                            .into_iter()
-                            .map(|(q_next, emission)| {
-                                let new_retained = emission.or(*retained);
-                                let message = self.encode_message(*retained, new_retained, *trit);
-                                (
-                                    SyncState::Pause {
-                                        inner: q_next,
-                                        retained: new_retained,
-                                        trit: next_trit,
-                                        check: 0,
-                                    },
-                                    Some(message),
-                                )
-                            })
-                            .collect();
-                        Transitions::uniform(choices)
-                    }
-                }
-            }
-        }
+        let mut next = q.clone();
+        let Some(count) = self.advance(&mut next, observed) else {
+            return Transitions::det(next, None);
+        };
+        // Stable: simulate δ(q, f_b(φ₁ + φ₂)).
+        let SyncState::Sim {
+            inner,
+            retained,
+            trit,
+            ..
+        } = q
+        else {
+            unreachable!("a simulated round ends in the simulating feature")
+        };
+        Transitions::uniform(
+            self.inner
+                .delta(inner, count)
+                .choices()
+                .iter()
+                .map(|(q_next, emission)| {
+                    self.end_round(q_next.clone(), *emission, *retained, *trit)
+                }),
+        )
+    }
+
+    fn step<R: rand::Rng + ?Sized>(
+        &self,
+        q: &mut Self::State,
+        observed: BoundedCount,
+        rng: &mut R,
+    ) -> Option<Letter> {
+        let count = self.advance(q, observed)?;
+        let SyncState::Sim {
+            inner,
+            retained,
+            trit,
+            ..
+        } = q
+        else {
+            unreachable!("a simulated round ends in the simulating feature")
+        };
+        let emission = self.inner.step(inner, count, rng);
+        let (next, message) = self.end_round(inner.clone(), emission, *retained, *trit);
+        *q = next;
+        message
     }
 }
 
@@ -504,9 +516,9 @@ mod tests {
         let q = p.initial_state(0);
         // Observing a dirty letter (count ≥ 1) keeps the node in place.
         let t = p.delta(&q, fb(1, 1));
-        assert_eq!(t.choices.len(), 1);
-        assert_eq!(t.choices[0].0, q);
-        assert_eq!(t.choices[0].1, None);
+        assert_eq!(t.choices().len(), 1);
+        assert_eq!(t.choices()[0].0, q);
+        assert_eq!(t.choices()[0].1, None);
     }
 
     #[test]
@@ -517,7 +529,7 @@ mod tests {
         for _ in 0..4 {
             assert!(q.is_pausing());
             let t = p.delta(&q, fb(0, 1));
-            q = t.choices[0].0.clone();
+            q = t.choices()[0].0.clone();
         }
         assert!(!q.is_pausing());
         match &q {
@@ -548,9 +560,9 @@ mod tests {
         let mut emitted = None;
         for _ in 0..10 {
             let t = p.delta(&q, fb(0, 1));
-            assert_eq!(t.choices.len(), 1);
-            emitted = t.choices[0].1;
-            q = t.choices[0].0.clone();
+            assert_eq!(t.choices().len(), 1);
+            emitted = t.choices()[0].1;
+            q = t.choices()[0].0.clone();
             if emitted.is_some() {
                 break;
             }
@@ -593,7 +605,7 @@ mod tests {
             phi2: 0,
         };
         let t = p.delta(&q, fb(0, 1));
-        match &t.choices[0].0 {
+        match &t.choices()[0].0 {
             SyncState::Sim { scan, idx, acc, .. } => {
                 assert_eq!(*scan, Scan::Phi1);
                 assert_eq!(*idx, 0);
@@ -601,7 +613,7 @@ mod tests {
             }
             other => panic!("expected restarted Sim, got {other:?}"),
         }
-        assert_eq!(t.choices[0].1, None);
+        assert_eq!(t.choices()[0].1, None);
     }
 
     #[test]

@@ -139,10 +139,10 @@ impl TableProtocol {
                 } else {
                     obs.to_string()
                 };
-                for (q2, emission) in &t.choices {
+                for (q2, emission) in t.choices() {
                     // Skip pure self-loops that emit nothing: they are the
                     // default "stay" behavior and only clutter the figure.
-                    if *q2 as usize == q && emission.is_none() && t.choices.len() == 1 {
+                    if *q2 as usize == q && emission.is_none() && t.choices().len() == 1 {
                         continue;
                     }
                     writeln!(
@@ -337,7 +337,7 @@ impl TableProtocolBuilder {
                         observation: o as u8,
                     });
                 }
-                for (q2, emission) in &t.choices {
+                for (q2, emission) in t.choices() {
                     if *q2 as usize >= n {
                         return Err(ProtocolError::BadStateId(*q2));
                     }
@@ -389,7 +389,7 @@ mod tests {
         assert_eq!(p.output(&1), Some(7));
         assert_eq!(p.query(&0), Letter(0));
         let t = p.delta(&0, crate::fb(0, 1));
-        assert_eq!(t.choices, vec![(1, Some(Letter(1)))]);
+        assert_eq!(t.choices(), vec![(1, Some(Letter(1)))]);
         assert_eq!(p.state_by_name("s1"), Some(1));
         assert_eq!(p.state_name(1), "s1");
         assert_eq!(p.output_states(), vec![1]);

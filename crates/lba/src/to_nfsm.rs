@@ -163,26 +163,21 @@ impl LbaOnPath {
             .choices(p, sym)
             .unwrap_or_else(|e| panic!("machine is not total on reachable configs: {e}"))
             .expect("non-halting state has choices");
-        Transitions::uniform(
-            choices
-                .iter()
-                .map(|a| {
-                    let side = Side::of(a.mv);
-                    let mut sent = sent;
-                    sent[side.index()] = !sent[side.index()];
-                    let letter = self.handoff(a.mv, a.state, sent[side.index()]);
-                    (
-                        PathState::Cell {
-                            sym: a.write,
-                            side,
-                            sent,
-                            acc,
-                        },
-                        Some(letter),
-                    )
-                })
-                .collect(),
-        )
+        Transitions::uniform(choices.iter().map(|a| {
+            let side = Side::of(a.mv);
+            let mut sent = sent;
+            sent[side.index()] = !sent[side.index()];
+            let letter = self.handoff(a.mv, a.state, sent[side.index()]);
+            (
+                PathState::Cell {
+                    sym: a.write,
+                    side,
+                    sent,
+                    acc,
+                },
+                Some(letter),
+            )
+        }))
     }
 }
 

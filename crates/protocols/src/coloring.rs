@@ -266,10 +266,8 @@ impl ColoringProtocol {
     }
 
     /// The set `C(v)` of colors not announced by any colored neighbor.
-    fn free_colors(obs: &ObsVec) -> Vec<u8> {
-        (1u8..=3)
-            .filter(|&c| obs.get(L::col(c).letter()).is_zero())
-            .collect()
+    fn free_colors(obs: &ObsVec) -> impl Iterator<Item = u8> + Clone + '_ {
+        (1u8..=3).filter(|&c| obs.get(L::col(c).letter()).is_zero())
     }
 
     /// The `f₃(#COLc)` snapshot vector.
@@ -359,16 +357,12 @@ impl MultiFsm for ColoringProtocol {
                 }
                 let free = Self::free_colors(obs);
                 assert!(
-                    !free.is_empty(),
+                    free.clone().next().is_some(),
                     "invariant |C(v)| ≥ min(dᶦ(v)+1, 3) violated: a \
                      RandColor-eligible node found no free color (is the \
                      graph a tree?)"
                 );
-                Transitions::uniform(
-                    free.into_iter()
-                        .map(|c| (S::A4 { color: c }, Some(L::prop(c).letter())))
-                        .collect(),
-                )
+                Transitions::uniform(free.map(|c| (S::A4 { color: c }, Some(L::prop(c).letter()))))
             }
             // Round 4: keep the color unless a same-color proposal landed.
             S::A4 { color } => {
@@ -518,7 +512,7 @@ mod tests {
         let p = ColoringProtocol::new();
         let t = p.delta(&ColoringState::A1, &obs([0; 13]));
         assert_eq!(
-            t.choices,
+            t.choices(),
             vec![(ColoringState::A2, Some(L::Active.letter()))]
         );
     }
@@ -529,7 +523,7 @@ mod tests {
         for (active, expected) in [(0usize, 0u8), (1, 1), (2, 2), (3, 3), (9, 3)] {
             let t = p.delta(&ColoringState::A2, &obs_with(&[(L::Active, active)]));
             assert_eq!(
-                t.choices,
+                t.choices(),
                 vec![(
                     ColoringState::A3 { deg: expected },
                     Some(L::deg(expected).letter())
@@ -546,7 +540,7 @@ mod tests {
         let o = obs_with(&[(L::Col1, 2), (L::Col2, 1)]);
         let t = p.delta(&ColoringState::A3 { deg: 0 }, &o);
         assert_eq!(
-            t.choices,
+            t.choices(),
             vec![(ColoringState::A4 { color: 3 }, Some(L::Prop3.letter()))]
         );
     }
@@ -557,9 +551,9 @@ mod tests {
         let o = obs_with(&[(L::Deg1, 1)]);
         let t = p.delta(&ColoringState::A3 { deg: 1 }, &o);
         // All three colors free → three uniform proposals.
-        assert_eq!(t.choices.len(), 3);
+        assert_eq!(t.choices().len(), 3);
         assert!(t
-            .choices
+            .choices()
             .iter()
             .all(|(s, _)| matches!(s, ColoringState::A4 { .. })));
     }
@@ -571,7 +565,7 @@ mod tests {
             let o = obs_with(&[(big, 1)]);
             let t = p.delta(&ColoringState::A3 { deg: 1 }, &o);
             assert_eq!(
-                t.choices,
+                t.choices(),
                 vec![(
                     ColoringState::Waiting {
                         round: 4,
@@ -588,7 +582,7 @@ mod tests {
         let o = obs_with(&[(L::Deg3p, 1), (L::Col2, 4), (L::Waiting, 2)]);
         let t = p.delta(&ColoringState::A3 { deg: 1 }, &o);
         assert_eq!(
-            t.choices,
+            t.choices(),
             vec![(
                 ColoringState::Waiting {
                     round: 4,
@@ -606,18 +600,18 @@ mod tests {
         let p = ColoringProtocol::new();
         let o = obs_with(&[(L::Deg3p, 1), (L::Deg2, 1)]);
         let t = p.delta(&ColoringState::A3 { deg: 2 }, &o);
-        assert_eq!(t.choices, vec![(ColoringState::A4Idle, None)]);
+        assert_eq!(t.choices(), vec![(ColoringState::A4Idle, None)]);
         // Both neighbors small → RandColor.
         let o = obs_with(&[(L::Deg2, 2)]);
         let t = p.delta(&ColoringState::A3 { deg: 2 }, &o);
-        assert_eq!(t.choices.len(), 3);
+        assert_eq!(t.choices().len(), 3);
     }
 
     #[test]
     fn high_degree_nodes_idle() {
         let p = ColoringProtocol::new();
         let t = p.delta(&ColoringState::A3 { deg: 3 }, &obs([0; 13]));
-        assert_eq!(t.choices, vec![(ColoringState::A4Idle, None)]);
+        assert_eq!(t.choices(), vec![(ColoringState::A4Idle, None)]);
     }
 
     #[test]
@@ -625,11 +619,11 @@ mod tests {
         let p = ColoringProtocol::new();
         let o = obs_with(&[(L::Prop2, 1)]);
         let t = p.delta(&ColoringState::A4 { color: 2 }, &o);
-        assert_eq!(t.choices, vec![(ColoringState::A1, None)]);
+        assert_eq!(t.choices(), vec![(ColoringState::A1, None)]);
         // Different-color proposals don't conflict.
         let t = p.delta(&ColoringState::A4 { color: 1 }, &o);
         assert_eq!(
-            t.choices,
+            t.choices(),
             vec![(ColoringState::Colored { color: 1 }, Some(L::Col1.letter()))]
         );
     }
@@ -650,7 +644,7 @@ mod tests {
         // refreshed).
         let t = p.delta(&waiting2([0; 3], 0, true), &obs_with(&[(L::Active, 1)]));
         assert_eq!(
-            t.choices,
+            t.choices(),
             vec![(
                 ColoringState::Waiting {
                     round: 3,
@@ -665,16 +659,16 @@ mod tests {
         // rejoin through rounds 3, 4, then A1.
         let t = p.delta(&waiting2([0; 3], 0, true), &obs([0; 13]));
         assert_eq!(
-            t.choices,
+            t.choices(),
             vec![(ColoringState::Rejoining { round: 3 }, None)]
         );
         let t = p.delta(&ColoringState::Rejoining { round: 3 }, &obs([0; 13]));
         assert_eq!(
-            t.choices,
+            t.choices(),
             vec![(ColoringState::Rejoining { round: 4 }, None)]
         );
         let t = p.delta(&ColoringState::Rejoining { round: 4 }, &obs([0; 13]));
-        assert_eq!(t.choices, vec![(ColoringState::A1, None)]);
+        assert_eq!(t.choices(), vec![(ColoringState::A1, None)]);
     }
 
     #[test]
@@ -685,7 +679,7 @@ mod tests {
         // (this exact premature wake once consumed a hub's whole palette).
         let t = p.delta(&waiting2([0; 3], 0, true), &obs_with(&[(L::Waiting, 1)]));
         assert_eq!(
-            t.choices,
+            t.choices(),
             vec![(
                 ColoringState::Waiting {
                     round: 3,
@@ -708,7 +702,7 @@ mod tests {
             &obs_with(&[(L::Active, 1), (L::Col2, 1)]),
         );
         assert!(matches!(
-            t.choices[0].0,
+            t.choices()[0].0,
             ColoringState::Waiting { round: 3, .. }
         ));
         // ...a fresh color-1 appearance wakes (class flip)...
@@ -717,7 +711,7 @@ mod tests {
             &obs_with(&[(L::Active, 1), (L::Col2, 1), (L::Col1, 1)]),
         );
         assert_eq!(
-            t.choices,
+            t.choices(),
             vec![(ColoringState::Rejoining { round: 3 }, None)]
         );
         // ...and so does another color-2 coloring below saturation.
@@ -726,7 +720,7 @@ mod tests {
             &obs_with(&[(L::Active, 1), (L::Col2, 2)]),
         );
         assert_eq!(
-            t.choices,
+            t.choices(),
             vec![(ColoringState::Rejoining { round: 3 }, None)]
         );
     }
@@ -738,7 +732,7 @@ mod tests {
             let s = ColoringState::Colored { color: c };
             assert_eq!(p.output(&s), Some(c as u64));
             let t = p.delta(&s, &obs([5; 13]));
-            assert_eq!(t.choices, vec![(s, None)]);
+            assert_eq!(t.choices(), vec![(s, None)]);
         }
         assert_eq!(p.output(&ColoringState::A1), None);
     }

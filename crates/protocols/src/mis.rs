@@ -241,7 +241,7 @@ impl MultiFsm for MisProtocol {
                 } else {
                     Self::moving(up, MisState::Win)
                 };
-                Transitions::uniform(vec![heads, tails])
+                Transitions::uniform([heads, tails])
             }
         }
     }
@@ -315,11 +315,11 @@ mod tests {
     fn down1_is_delayed_by_down2() {
         let p = MisProtocol::new();
         let t = p.delta(&MisState::Down1, &obs([0, 1, 0, 0, 0, 0, 0]));
-        assert_eq!(t.choices, vec![(MisState::Down1, None)]);
+        assert_eq!(t.choices(), vec![(MisState::Down1, None)]);
         // Not delayed: moves up, announcing UP0.
         let t = p.delta(&MisState::Down1, &obs([5, 0, 3, 0, 0, 2, 0]));
         assert_eq!(
-            t.choices,
+            t.choices(),
             vec![(MisState::Up0, Some(MisState::Up0.letter()))]
         );
     }
@@ -332,18 +332,18 @@ mod tests {
             let mut c = [0usize; 7];
             c[up] = 1;
             let t = p.delta(&MisState::Down2, &obs(c));
-            assert_eq!(t.choices, vec![(MisState::Down2, None)]);
+            assert_eq!(t.choices(), vec![(MisState::Down2, None)]);
         }
         // WIN next door → LOSE.
         let t = p.delta(&MisState::Down2, &obs([0, 0, 0, 0, 0, 2, 0]));
         assert_eq!(
-            t.choices,
+            t.choices(),
             vec![(MisState::Lose, Some(MisState::Lose.letter()))]
         );
         // Quiet neighborhood → new tournament.
         let t = p.delta(&MisState::Down2, &obs([1, 1, 0, 0, 0, 0, 3]));
         assert_eq!(
-            t.choices,
+            t.choices(),
             vec![(MisState::Down1, Some(MisState::Down1.letter()))]
         );
     }
@@ -353,16 +353,22 @@ mod tests {
         let p = MisProtocol::new();
         // UP0 with no rivals: heads → UP1, tails → WIN.
         let t = p.delta(&MisState::Up0, &obs([0, 1, 0, 0, 0, 0, 1]));
-        assert_eq!(t.choices.len(), 2);
-        assert_eq!(t.choices[0], (MisState::Up1, Some(MisState::Up1.letter())));
-        assert_eq!(t.choices[1], (MisState::Win, Some(MisState::Win.letter())));
+        assert_eq!(t.choices().len(), 2);
+        assert_eq!(
+            t.choices()[0],
+            (MisState::Up1, Some(MisState::Up1.letter()))
+        );
+        assert_eq!(
+            t.choices()[1],
+            (MisState::Win, Some(MisState::Win.letter()))
+        );
         // UP0 with a rival in UP0 or UP1: tails → DOWN2.
         for rival in [2usize, 3] {
             let mut c = [0usize; 7];
             c[rival] = 1;
             let t = p.delta(&MisState::Up0, &obs(c));
             assert_eq!(
-                t.choices[1],
+                t.choices()[1],
                 (MisState::Down2, Some(MisState::Down2.letter()))
             );
         }
@@ -371,7 +377,7 @@ mod tests {
             let mut c = [0usize; 7];
             c[delayer] = 1;
             let t = p.delta(&MisState::Up0, &obs(c));
-            assert_eq!(t.choices, vec![(MisState::Up0, None)]);
+            assert_eq!(t.choices(), vec![(MisState::Up0, None)]);
         }
     }
 
@@ -379,11 +385,14 @@ mod tests {
     fn up2_wraps_to_up0() {
         let p = MisProtocol::new();
         let t = p.delta(&MisState::Up2, &obs([0; 7]));
-        assert_eq!(t.choices[0], (MisState::Up0, Some(MisState::Up0.letter())));
+        assert_eq!(
+            t.choices()[0],
+            (MisState::Up0, Some(MisState::Up0.letter()))
+        );
         // Rivals for UP2 are UP2 and UP0.
         let t = p.delta(&MisState::Up2, &obs([0, 0, 1, 0, 0, 0, 0]));
         assert_eq!(
-            t.choices[1],
+            t.choices()[1],
             (MisState::Down2, Some(MisState::Down2.letter()))
         );
     }
@@ -393,7 +402,7 @@ mod tests {
         let p = MisProtocol::new();
         for s in [MisState::Win, MisState::Lose] {
             let t = p.delta(&s, &obs([1, 1, 1, 1, 1, 1, 1]));
-            assert_eq!(t.choices, vec![(s, None)]);
+            assert_eq!(t.choices(), vec![(s, None)]);
         }
     }
 
@@ -412,7 +421,7 @@ mod tests {
         ];
         for s in MisState::ALL {
             for c in samples {
-                for (to, emission) in p.delta(&s, &obs(c)).choices {
+                for &(to, emission) in p.delta(&s, &obs(c)).choices() {
                     if to == s {
                         assert_eq!(emission, None, "{s:?} stayed but transmitted");
                     } else {

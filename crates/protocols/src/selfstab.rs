@@ -247,10 +247,10 @@ mod tests {
         for q in [MisState::Win, MisState::Lose] {
             // σ₀ = DOWN1 visible: re-announce own letter.
             let t = p.delta(&q, &mis_obs([1, 0, 0, 0, 0, 0, 0]));
-            assert_eq!(t.choices, vec![(q, Some(q.letter()))]);
+            assert_eq!(t.choices(), vec![(q, Some(q.letter()))]);
             // Quiet decided neighborhood: stay silent like the paper.
             let t = p.delta(&q, &mis_obs([0, 0, 0, 0, 0, 1, 1]));
-            assert_eq!(t.choices, vec![(q, None)]);
+            assert_eq!(t.choices(), vec![(q, None)]);
         }
     }
 
@@ -266,7 +266,7 @@ mod tests {
         ] {
             let t = p.delta(&q, &mis_obs([0, 0, 0, 0, 0, 1, 0]));
             assert_eq!(
-                t.choices,
+                t.choices(),
                 vec![(MisState::Lose, Some(MisState::Lose.letter()))],
                 "{q:?} must lose on hearing WIN"
             );
@@ -294,8 +294,8 @@ mod tests {
         ] {
             for c in samples {
                 assert_eq!(
-                    p.delta(&q, &mis_obs(c)).choices,
-                    paper.delta(&q, &mis_obs(c)).choices,
+                    p.delta(&q, &mis_obs(c)).choices(),
+                    paper.delta(&q, &mis_obs(c)).choices(),
                     "{q:?} {c:?}"
                 );
             }
@@ -405,10 +405,10 @@ mod tests {
         for color in 1..=3u8 {
             let q = ColoringState::Colored { color };
             let t = p.delta(&q, &obs);
-            assert_eq!(t.choices, vec![(q, Some(L::col(color).letter()))]);
+            assert_eq!(t.choices(), vec![(q, Some(L::col(color).letter()))]);
             // Quiet neighborhood: silent sink, like the paper.
             let t = p.delta(&q, &ObsVec::from_counts(&[0usize; 13], 3));
-            assert_eq!(t.choices, vec![(q, None)]);
+            assert_eq!(t.choices(), vec![(q, None)]);
         }
     }
 

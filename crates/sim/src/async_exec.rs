@@ -425,7 +425,8 @@ impl<'a, P: Fsm> Exec<'a, P> {
     }
 
     /// Applies node `v`'s pending transition: clears its pending marks,
-    /// observes the query-letter count, samples δ, and maintains the
+    /// observes the query-letter count, steps the node in place
+    /// ([`Fsm::step`]: a uniform draw from δ), and maintains the
     /// undecided counter. Returns the step index and the emission.
     #[inline]
     fn apply_step(&mut self, v: NodeId) -> (u64, Option<Letter>) {
@@ -439,19 +440,19 @@ impl<'a, P: Fsm> Exec<'a, P> {
 
         let query = self.protocol.query(&self.states[vi]);
         let count = self.ports.count(vi, query) as usize;
-        let transitions = self
-            .protocol
-            .delta(&self.states[vi], BoundedCount::from_count(count, self.b));
-        let (next, emission) = transitions.sample(&mut self.rngs[vi]);
         let was_output = self.protocol.output(&self.states[vi]).is_some();
-        let is_output = self.protocol.output(next).is_some();
-        self.states[vi] = next.clone();
+        let emission = self.protocol.step(
+            &mut self.states[vi],
+            BoundedCount::from_count(count, self.b),
+            &mut self.rngs[vi],
+        );
+        let is_output = self.protocol.output(&self.states[vi]).is_some();
         match (was_output, is_output) {
             (false, true) => self.unfinished -= 1,
             (true, false) => self.unfinished += 1,
             _ => {}
         }
-        (t, *emission)
+        (t, emission)
     }
 
     /// Computes the FIFO-bumped arrival time of `v`'s step-`t` broadcast

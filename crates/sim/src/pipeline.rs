@@ -284,15 +284,10 @@ pub(crate) trait RoundStep {
     /// restarts it (delegates to `Protocol::restart_state`; only the
     /// churn boundary hook, [`ChurnCtl::boundary`], calls this).
     fn restart_state(&self, input: usize) -> Self::State;
-    /// Phase 1 of one node: transition from the frozen observation,
-    /// consuming the node's RNG stream exactly as the legacy engines
-    /// did.
-    fn transition(
-        &self,
-        q: &Self::State,
-        obs: &ObsVec,
-        rng: &mut SmallRng,
-    ) -> (Self::State, Self::Emission);
+    /// Phase 1 of one node: transition `q` in place from the frozen
+    /// observation, consuming the node's RNG stream exactly as sampling
+    /// δ does, and return the emission.
+    fn transition(&self, q: &mut Self::State, obs: &ObsVec, rng: &mut SmallRng) -> Self::Emission;
     /// Phase 2a of one node: resolve the emission against the frozen
     /// plane into `sink` (and `witness`), consuming any target draws
     /// from the node's own RNG stream.
@@ -491,13 +486,13 @@ fn node_round<St: RoundStep, Pr: PortRead, Sk: DeliverySink>(
     witness: &mut St::Witness,
 ) -> isize {
     ports.refill_obs(v, obs, step.bound());
-    let (next, emission) = step.transition(state, obs, rng);
-    let delta = match (step.decided(state), step.decided(&next)) {
+    let was_decided = step.decided(state);
+    let emission = step.transition(state, obs, rng);
+    let delta = match (was_decided, step.decided(state)) {
         (false, true) => -1,
         (true, false) => 1,
         _ => 0,
     };
-    *state = next;
     step.resolve(
         round,
         v as NodeId,

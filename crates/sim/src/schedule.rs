@@ -25,6 +25,10 @@
 //!   takes a delay more than ~16M ticks ahead to land here), drained back
 //!   into the wheel as the current tick approaches them.
 //!
+//! Buckets are drained, never freed: an emptied bucket keeps its
+//! capacity for the events the wheel files into it on a later turn, so
+//! a steady-state schedule pushes and pops without allocating.
+//!
 //! Advancing the clock scans level 0 for the next occupied tick; at each
 //! level-`ℓ` window boundary the corresponding level-`ℓ` slot **cascades**
 //! down into the finer levels, exactly like a hierarchical timing wheel.
@@ -265,12 +269,19 @@ impl<T> CalendarQueue<T> {
         if self.levels[level][slot].is_empty() {
             return;
         }
-        let entries = std::mem::take(&mut self.levels[level][slot]);
+        // `place` needs `&mut self`, so the bucket is lent out and put
+        // back empty afterwards, keeping its capacity.
+        let mut entries = std::mem::take(&mut self.levels[level][slot]);
         self.level_counts[level] -= entries.len();
-        for e in entries {
+        for e in entries.drain(..) {
             debug_assert!(e.tick >= self.current_tick);
             self.place(e);
         }
+        debug_assert!(
+            self.levels[level][slot].is_empty(),
+            "cascades only go finer"
+        );
+        self.levels[level][slot] = entries;
     }
 
     /// Front is empty and `len > 0`: advance the clock to the next
@@ -296,11 +307,8 @@ impl<T> CalendarQueue<T> {
             for t in self.current_tick + 1..window_end {
                 let slot = (t & (SLOTS as u64 - 1)) as usize;
                 if !self.levels[0][slot].is_empty() {
-                    debug_assert!(self.levels[0][slot].iter().all(|e| e.tick == t));
                     self.current_tick = t;
-                    let entries = std::mem::take(&mut self.levels[0][slot]);
-                    self.level_counts[0] -= entries.len();
-                    self.front.extend(entries.into_iter().map(Reverse));
+                    self.load_front(slot);
                     return;
                 }
             }
@@ -334,15 +342,17 @@ impl<T> CalendarQueue<T> {
         // own level-0 slot may also hold events filed *before* the jump
         // (pushed with delta < 64 from the previous window). The scan
         // above starts past the clock, so drain that slot here.
-        let slot = (self.current_tick & (SLOTS as u64 - 1)) as usize;
-        if !self.levels[0][slot].is_empty() {
-            debug_assert!(self.levels[0][slot]
-                .iter()
-                .all(|e| e.tick == self.current_tick));
-            let entries = std::mem::take(&mut self.levels[0][slot]);
-            self.level_counts[0] -= entries.len();
-            self.front.extend(entries.into_iter().map(Reverse));
-        }
+        self.load_front((self.current_tick & (SLOTS as u64 - 1)) as usize);
+    }
+
+    /// Moves level-0 bucket `slot`, whose events all sit at the current
+    /// tick, into the front heap. The bucket keeps its capacity.
+    fn load_front(&mut self, slot: usize) {
+        let tick = self.current_tick;
+        let bucket = &mut self.levels[0][slot];
+        debug_assert!(bucket.iter().all(|e| e.tick == tick));
+        self.level_counts[0] -= bucket.len();
+        self.front.extend(bucket.drain(..).map(Reverse));
     }
 }
 

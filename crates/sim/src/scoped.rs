@@ -171,19 +171,16 @@ impl<P: ScopedMultiFsm> RoundStep for ScopedStep<'_, P> {
         self.0.restart_state(input)
     }
 
-    fn transition(
-        &self,
-        q: &P::State,
-        obs: &ObsVec,
-        rng: &mut SmallRng,
-    ) -> (P::State, ScopedEmission) {
-        let t = self.0.delta(q, obs);
-        let idx = if t.choices.len() == 1 {
+    fn transition(&self, q: &mut P::State, obs: &ObsVec, rng: &mut SmallRng) -> ScopedEmission {
+        let mut choices = self.0.delta(q, obs).choices;
+        let idx = if choices.len() == 1 {
             0
         } else {
-            rng.gen_range(0..t.choices.len())
+            rng.gen_range(0..choices.len())
         };
-        (t.choices[idx].0.clone(), t.choices[idx].1)
+        let (next, emission) = choices.swap_remove(idx);
+        *q = next;
+        emission
     }
 
     fn resolve<Pr: PortRead, Sk: DeliverySink>(

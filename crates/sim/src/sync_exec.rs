@@ -120,7 +120,8 @@ pub(crate) fn seed_rngs(n: usize, seed: u64) -> Vec<SmallRng> {
         .collect()
 }
 
-/// The [`RoundStep`] of plain `MultiFsm` protocols: sample δ, then
+/// The [`RoundStep`] of plain `MultiFsm` protocols: step the node in
+/// place ([`MultiFsm::step`], a uniform draw from δ), then
 /// resolve any non-`ε` emission as a full broadcast (which consumes no
 /// randomness and reads no ports — the simplest pipeline step).
 pub(crate) struct SyncStep<'p, P>(pub(crate) &'p P);
@@ -142,15 +143,8 @@ impl<P: MultiFsm> RoundStep for SyncStep<'_, P> {
         self.0.restart_state(input)
     }
 
-    fn transition(
-        &self,
-        q: &P::State,
-        obs: &ObsVec,
-        rng: &mut SmallRng,
-    ) -> (P::State, Option<Letter>) {
-        let transitions = self.0.delta(q, obs);
-        let (next, emission) = transitions.sample(rng);
-        (next.clone(), *emission)
+    fn transition(&self, q: &mut P::State, obs: &ObsVec, rng: &mut SmallRng) -> Option<Letter> {
+        self.0.step(q, obs, rng)
     }
 
     fn resolve<Pr: PortRead, Sk: DeliverySink>(

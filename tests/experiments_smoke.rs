@@ -32,6 +32,23 @@ fn synchronizer_and_adversary_experiments_quick() {
     }
 }
 
+/// The paper-protocol scaling tables and the message-passing baselines:
+/// each asserts that every run's output validated, so these also run the
+/// engines' per-step paths at scale.
+#[test]
+fn protocol_and_baseline_experiments_quick() {
+    for name in [
+        "mis-scaling",
+        "tree-coloring",
+        "matching",
+        "baseline-mis",
+        "baseline-coloring",
+    ] {
+        let t = experiments::by_name(name, Scale::Quick).unwrap();
+        assert!(!t.rows.is_empty(), "{name}");
+    }
+}
+
 #[test]
 fn unknown_experiment_is_none() {
     assert!(experiments::by_name("not-an-experiment", Scale::Quick).is_none());
