@@ -629,6 +629,25 @@ impl<S: SnapState> SnapState for stoneage_core::sync::SyncState<S> {
     }
 }
 
+/// The gather state of [`stoneage_core::SingleLetter`]: the wrapped
+/// state, then the counts gathered so far (at most one per letter, so a
+/// `u16` length suffices).
+impl<S: SnapState> SnapState for stoneage_core::multiq::GatherState<S> {
+    fn encode(&self, w: &mut SnapWriter) {
+        self.inner.encode(w);
+        w.u16(self.counts.len() as u16);
+        for &c in &self.counts {
+            w.u8(c);
+        }
+    }
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        let inner = S::decode(r)?;
+        let len = r.u16()?;
+        let counts = (0..len).map(|_| r.u8()).collect::<Result<_, _>>()?;
+        Ok(stoneage_core::multiq::GatherState { inner, counts })
+    }
+}
+
 /// A monomorphized encode/decode pair for one protocol state type,
 /// captured by [`crate::Simulation::checkpoint_every`] /
 /// [`crate::Simulation::resume_from`] so the execution engines stay free

@@ -18,7 +18,9 @@ use stoneage::protocols::{
     decode_coloring, decode_mis, run_matching, ColoringProtocol, MisProtocol, SelfStabMis,
 };
 use stoneage::sim::adversary::UniformRandom;
-use stoneage::sim::{AsyncOptions, Backend, ChurnPlan, FaultPlan, SchedulerKind, Simulation};
+use stoneage::sim::{
+    AsyncOptions, Backend, ChurnPlan, FaultPlan, Observer, SchedulerKind, Simulation, Snapshot,
+};
 use stoneage_testkit::{
     async_fingerprint, churn_fingerprint, fault_fingerprint, fnv1a, sync_fingerprint,
 };
@@ -114,6 +116,80 @@ fn synchronized_single_letter_mis_on_both_schedulers() {
                 &decode_mis(&out.outputs)
             ));
             assert_eq!(async_fingerprint(&out), want, "seed {seed} {scheduler:?}");
+        }
+    }
+}
+
+/// Keeps the bytes of every checkpoint frame a run hands out.
+#[derive(Default)]
+struct Frames(Vec<Vec<u8>>);
+
+impl<S> Observer<S> for Frames {
+    fn on_checkpoint(&mut self, snapshot: &Snapshot) {
+        self.0.push(snapshot.to_bytes());
+    }
+}
+
+/// The async pipeline under everything the event loop hooks at once:
+/// crash/restart and edge churn, 2% duplicated deliveries, and a
+/// checkpoint cadence whose frame bytes are folded into the hash. Both
+/// schedulers must reproduce the same number, frames included.
+#[test]
+fn synchronized_selfstab_mis_under_churn_duplicates_and_checkpoints() {
+    const PINNED: [(u64, u64); 2] = [(7, 7188770370047263531), (8, 7594030931081421125)];
+    let g = gnp_deg8(24, 17);
+    let (u, v) = (1..24)
+        .map(|k| (0, k))
+        .find(|&(u, v)| !g.has_edge(u, v))
+        .expect("a sparse graph has non-edges");
+    let churn = ChurnPlan::new()
+        .at(2, TopologyEvent::Crash(5))
+        .at(3, TopologyEvent::EdgeInsert(u, v))
+        .at(6, TopologyEvent::Restart(5))
+        .at(9, TopologyEvent::EdgeDelete(u, v))
+        .with_extra_edge(u, v);
+    let faults = FaultPlan::new(31).duplicate_rate(0.02, 1);
+    let p = Synchronized::new(SingleLetter::new(SelfStabMis::new()));
+    let adv = UniformRandom { seed: 23 };
+    for (seed, want) in PINNED {
+        for scheduler in [SchedulerKind::CalendarWheel, SchedulerKind::BinaryHeap] {
+            let mut frames = Frames::default();
+            let outcome = Simulation::asynchronous(&p, &g, &adv)
+                .seed(seed)
+                .backend(Backend::Async(
+                    AsyncOptions::new(&adv).with_scheduler(scheduler),
+                ))
+                .with_churn(&churn)
+                .with_faults(&faults)
+                .checkpoint_every(40)
+                .observe(&mut frames)
+                .run()
+                .expect("synchronized selfstab MIS terminates under the plan");
+            let summary = outcome.churn().expect("churn plan was set").clone();
+            let fs = *outcome.faults().expect("fault plan was set");
+            let out = outcome.into_async_outcome().expect("async backend");
+            assert!(summary.live_nodes.iter().all(|&l| l), "node 5 restarted");
+            assert!(validate::is_maximal_independent_set(
+                &g,
+                &decode_mis(&out.outputs)
+            ));
+            assert!(fs.duplicated > 0, "seed {seed}: the fault plan fired");
+            assert!(!frames.0.is_empty(), "seed {seed}: the cadence captured");
+            let got = fnv1a(
+                async_fingerprint(&out),
+                [
+                    summary.crashes,
+                    summary.restarts,
+                    summary.edge_inserts,
+                    summary.edge_deletes,
+                    fs.evaluated,
+                    fs.duplicated,
+                    frames.0.len() as u64,
+                ]
+                .into_iter()
+                .chain(frames.0.iter().flatten().map(|&b| b as u64)),
+            );
+            assert_eq!(got, want, "seed {seed} {scheduler:?}");
         }
     }
 }
