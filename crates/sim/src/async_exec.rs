@@ -16,36 +16,56 @@
 //! The run-time is reported both as raw completion time and normalized by
 //! the largest `L`/`D` parameter consumed — the paper's **time unit**.
 //!
-//! # Scheduling
+//! # One event loop, two queues
 //!
-//! Two schedulers drive the event loop, selected by
-//! [`AsyncConfig::scheduler`]:
+//! Every async run — churned or not, faulted or not, fresh or resumed —
+//! executes the same event loop. The loop is generic over its event
+//! queue, chosen by [`AsyncConfig::scheduler`]:
 //!
 //! * [`SchedulerKind::CalendarWheel`] (the default) — the hierarchical
 //!   timing wheel of [`crate::schedule`]. Pushes and pops are O(1)
-//!   amortized, and a broadcast's same-arrival-time deliveries are
-//!   **batched per edge run**: one bucket entry drains a whole run with a
-//!   single [`FlatPorts`] write pass instead of one heap pop per letter
-//!   (under quantized or lockstep-like latency schedules this collapses a
-//!   `deg(v)`-way fan-out into one event). On top of the per-edge runs,
-//!   the drain **coalesces per receiver**: consecutive same-instant
-//!   deliveries *to one node* from different senders merge their
-//!   pending-flag and count updates into a single grouped write pass
-//!   ([`FlatPorts::deliver_run`]) — safe because per-edge FIFO makes
-//!   same-instant slots distinct, so the grouped application is
-//!   bit-identical to the heap path's per-letter order.
-//! * [`SchedulerKind::BinaryHeap`] — the original single global
-//!   `BinaryHeap<Reverse<Event>>`, preserved verbatim as the differential
-//!   oracle and benchmark baseline; its push/pop costs the `O(log m)`
-//!   factor the wheel removes.
+//!   amortized, and the loop **batches** on it. On a churn-free run, a
+//!   broadcast from a sender no fault rule covers is pushed as maximal
+//!   runs of equal arrival time, one `DeliverRun` event per run (under
+//!   quantized or lockstep-like latency schedules this collapses a
+//!   `deg(v)`-way fan-out into one event). And the drain **coalesces per
+//!   receiver**: consecutive same-instant deliveries to one node, from
+//!   different senders, merge their pending-flag and count updates into
+//!   one grouped write pass ([`FlatPorts::deliver_run`]).
+//! * [`SchedulerKind::BinaryHeap`] — one global
+//!   `BinaryHeap<Reverse<Event>>` that never batches: one entry and one
+//!   port write per letter. It is the differential oracle and benchmark
+//!   baseline; its push/pop costs the `O(log m)` factor the wheel
+//!   removes.
 //!
-//! Both paths share every piece of execution state and apply events in the
-//! **exact same `(time, seq)` order**: the wheel orders candidate events
-//! of the current bucket by their exact time and tie-breaking sequence
-//! number, and batches occupy contiguous `seq` ranges, so no foreign event
-//! can interleave a batch that the heap would have split. Outcomes are
-//! bit-identical per seed — pinned by differential and fingerprint tests
-//! in `tests/async_wheel.rs`.
+//! Both queues pop events in the **exact same `(time, seq)` order**. The
+//! wheel orders the events of its current bucket by exact time and
+//! tie-breaking sequence number, and a run occupies the contiguous `seq`
+//! range its per-letter events would have had, so no other event can
+//! interleave it. Grouping per receiver is exact because same-instant
+//! deliveries always hit distinct slots: each delivery on a directed
+//! edge, fault duplicates included, arrives strictly after the one
+//! before it (the per-edge FIFO watermark). Outcomes and checkpoint
+//! frames are therefore bit-identical across the two queues per seed,
+//! pinned by the differential and fingerprint tests in
+//! `tests/async_wheel.rs`.
+//!
+//! # Churn and faults
+//!
+//! A churn boundary stamped with round `r` applies at time `r`, before
+//! any queued event at time `r` or later (the boundary wins ties). The
+//! loop compares each boundary with the *peeked* queue head, so a
+//! restarted node's first step, which may fall before that head, is
+//! still popped in time order. Crashes and restarts bump the node's
+//! **incarnation**, and every event carries the incarnation it was
+//! enqueued under: a crashed node's pending step and every letter in
+//! flight toward it go stale and are dropped when popped (still counted
+//! as events), without purging the queue. Letters crossing an
+//! edge-delete boundary bounce off the tombstoned slot; letters in
+//! flight across a delete + re-insert window land. Churn runs and
+//! faulted senders ([`crate::faults`] decides every channel at the
+//! emission site) push one delivery event per letter; the wheel still
+//! coalesces them per receiver.
 //!
 //! Delivery runs on the flat engine ([`crate::engine`]): each transmission
 //! resolves its receiver-side port slot through the graph's precomputed
@@ -60,29 +80,27 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use stoneage_core::{BoundedCount, Fsm, Letter};
-use stoneage_graph::{Graph, NodeId};
+use stoneage_graph::{Graph, NodeId, TopologyEvent};
 
-use crate::churn::{plan_config, ChurnPlan, ChurnSummary};
-use crate::engine::FlatPorts;
+use crate::churn::{plan_config, ChurnCtl, ChurnPlan, DEAD_OUTPUT};
+use crate::engine::{FlatPorts, TOMBSTONE};
 use crate::faults::{faulted_sends, FaultLayer, FaultSummary, FaultsArg};
 use crate::schedule::CalendarQueue;
-use crate::sim::{Bridge, ObsArg, RowResult};
-use crate::snapshot::{
-    self, AsyncCapture, BacklogEvent, BacklogKind, SnapArgs, Snapshot, SnapshotError,
-};
+use crate::sim::{ObsArg, Observer, RowResult};
+use crate::snapshot::{self, AsyncCapture, BacklogEvent, BacklogKind, SnapArgs, SnapshotError};
 use crate::sync_exec::compile_faults;
 use crate::{splitmix64, Adversary, ExecError};
 
-/// Which event queue drives the asynchronous executor. See the module
-/// docs.
+/// Which event queue drives the asynchronous executor's event loop. See
+/// the module docs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SchedulerKind {
     /// The calendar-queue / hierarchical timing wheel of
-    /// [`crate::schedule`], with per-edge batched delivery.
+    /// [`crate::schedule`], with batched delivery.
     #[default]
     CalendarWheel,
-    /// The preserved global binary-heap path: the differential oracle and
-    /// benchmark baseline.
+    /// A global binary heap with one entry per letter: the differential
+    /// oracle and benchmark baseline.
     BinaryHeap,
 }
 
@@ -94,8 +112,10 @@ pub struct AsyncConfig {
     pub seed: u64,
     /// Event budget: exceeding it aborts with [`ExecError::EventLimit`].
     pub max_events: u64,
-    /// Event queue driving the run. Outcomes are bit-identical across
-    /// kinds; only throughput differs.
+    /// Event queue driving the run, on every run: churn plans, fault
+    /// plans and resumed snapshots run on the queue chosen here.
+    /// Outcomes and checkpoint frames are bit-identical across kinds;
+    /// only throughput differs.
     pub scheduler: SchedulerKind,
     /// Explicit calendar bucket width in simulated time units, overriding
     /// the executor's estimate (see [`crate::schedule`] for the
@@ -156,39 +176,25 @@ pub struct AsyncOutcome {
     pub lost_overwrites: u64,
 }
 
-/// Events of the preserved binary-heap path: one entry per delivery.
+/// One queued event. `inc` is the incarnation of the stepping or
+/// receiving node when the event was enqueued: a crash or restart makes
+/// it stale.
 #[derive(Clone, Copy, Debug)]
-enum HeapKind {
+enum Ev {
     /// Node applies its next transition.
-    Step(NodeId),
-    /// A letter lands in the flat port store at `slot` (a CSR slot of
-    /// `node`, precomputed from the reverse-port map at transmission
-    /// time — no lookup happens at delivery time).
+    Step(NodeId, u32),
+    /// A letter lands in the flat port store at `slot`, a CSR slot of
+    /// `node` resolved through the reverse-port map at send time.
     Deliver {
         node: NodeId,
         slot: u32,
         letter: Letter,
-    },
-}
-
-/// Events of the calendar-wheel path. Identical to [`HeapKind`] except
-/// that a run of same-arrival-time deliveries of one broadcast collapses
-/// into a single [`WheelKind::DeliverRun`] occupying the run's contiguous
-/// `seq` range.
-#[derive(Clone, Copy, Debug)]
-enum WheelKind {
-    /// Node applies its next transition.
-    Step(NodeId),
-    /// A single delivery (run of length 1), slot precomputed.
-    Deliver {
-        node: NodeId,
-        slot: u32,
-        letter: Letter,
+        inc: u32,
     },
     /// Deliveries to neighbors `from..from + len` of `v` (sender-side
-    /// port indices), all arriving at the same instant: drained with one
-    /// flat write pass. Consumes `len` consecutive `seq` values starting
-    /// at the event's own.
+    /// port indices), all arriving at the same instant. Consumes `len`
+    /// consecutive `seq` values starting at the event's own. Only the
+    /// wheel holds these, and only on churn-free runs.
     DeliverRun {
         v: NodeId,
         from: u32,
@@ -197,16 +203,76 @@ enum WheelKind {
     },
 }
 
+// `Letter` is a `u16`, so every variant packs into 16 bytes.
+const _: () = assert!(std::mem::size_of::<Ev>() == 16);
+
+impl From<BacklogKind> for Ev {
+    fn from(kind: BacklogKind) -> Self {
+        match kind {
+            BacklogKind::Step { node, inc } => Ev::Step(node, inc),
+            BacklogKind::Deliver {
+                node,
+                slot,
+                letter,
+                inc,
+            } => Ev::Deliver {
+                node,
+                slot,
+                letter,
+                inc,
+            },
+        }
+    }
+}
+
+/// The event queue under the event loop. Both implementations pop in
+/// the exact `(time, seq)` order.
+trait EventQueue {
+    /// Whether the loop batches on this queue: pushes [`Ev::DeliverRun`]
+    /// events and applies same-instant deliveries grouped per receiver.
+    const BATCHES: bool;
+    fn push(&mut self, time: f64, seq: u64, ev: Ev);
+    fn pop(&mut self) -> Option<(f64, Ev)>;
+    /// The earliest event, left in the queue.
+    fn peek(&mut self) -> Option<(f64, Ev)>;
+    /// Every queued event as `(time, seq, event)`, in no particular order.
+    fn entries(&self) -> impl Iterator<Item = (f64, u64, Ev)> + '_;
+}
+
+impl EventQueue for CalendarQueue<Ev> {
+    const BATCHES: bool = true;
+
+    #[inline]
+    fn push(&mut self, time: f64, seq: u64, ev: Ev) {
+        CalendarQueue::push(self, time, seq, ev);
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<(f64, Ev)> {
+        CalendarQueue::pop(self).map(|(time, _, ev)| (time, ev))
+    }
+
+    #[inline]
+    fn peek(&mut self) -> Option<(f64, Ev)> {
+        CalendarQueue::peek(self).map(|(time, &ev)| (time, ev))
+    }
+
+    fn entries(&self) -> impl Iterator<Item = (f64, u64, Ev)> + '_ {
+        CalendarQueue::entries(self).map(|(time, seq, &ev)| (time, seq, ev))
+    }
+}
+
+/// An entry of the binary-heap queue, ordered by `(time, seq)`.
 #[derive(Clone, Copy, Debug)]
 struct Event {
     time: f64,
     seq: u64,
-    kind: HeapKind,
+    ev: Ev,
 }
 
 impl PartialEq for Event {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.cmp(other).is_eq()
     }
 }
 
@@ -226,43 +292,37 @@ impl Ord for Event {
     }
 }
 
-/// Hook invoked by the asynchronous executor after every applied node
-/// step, with the event time and the node's post-transition state. Used
-/// by the Lemma 3.2 / (S1) validation tests to watch phase skew between
-/// neighbors without touching the engine. Subsumed by the unified
-/// [`crate::sim::Observer`]; kept so existing observers keep compiling
-/// (adapt them with [`crate::sim::AdaptAsync`]).
-pub trait AsyncObserver<S> {
-    /// Called after node `v` applied its step `t` at time `time`.
-    fn on_step(&mut self, time: f64, v: NodeId, t: u64, state: &S);
+/// The binary-heap queue: one entry per letter, never batched.
+#[derive(Default)]
+struct Heap(BinaryHeap<Reverse<Event>>);
 
-    /// Called with each checkpoint snapshot the executor captures (only
-    /// when [`crate::Simulation::checkpoint_every`] is set). The default
-    /// does nothing.
-    fn on_checkpoint(&mut self, _snapshot: &Snapshot) {}
-}
+impl EventQueue for Heap {
+    const BATCHES: bool = false;
 
-impl<S, O: AsyncObserver<S> + ?Sized> AsyncObserver<S> for &mut O {
-    fn on_step(&mut self, time: f64, v: NodeId, t: u64, state: &S) {
-        (**self).on_step(time, v, t, state);
+    fn push(&mut self, time: f64, seq: u64, ev: Ev) {
+        self.0.push(Reverse(Event { time, seq, ev }));
     }
 
-    fn on_checkpoint(&mut self, snapshot: &Snapshot) {
-        (**self).on_checkpoint(snapshot);
+    fn pop(&mut self) -> Option<(f64, Ev)> {
+        self.0.pop().map(|Reverse(e)| (e.time, e.ev))
+    }
+
+    fn peek(&mut self) -> Option<(f64, Ev)> {
+        self.0.peek().map(|Reverse(e)| (e.time, e.ev))
+    }
+
+    fn entries(&self) -> impl Iterator<Item = (f64, u64, Ev)> + '_ {
+        self.0.iter().map(|Reverse(e)| (e.time, e.seq, e.ev))
     }
 }
 
-/// An observer that does nothing.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopAsyncObserver;
+/// The observer of observer-free runs: every hook is the trait's no-op
+/// default, so the event loop compiles the per-step call away.
+struct Quiet;
 
-impl<S> AsyncObserver<S> for NoopAsyncObserver {
-    fn on_step(&mut self, _time: f64, _v: NodeId, _t: u64, _state: &S) {}
-}
+impl<S> Observer<S> for Quiet {}
 
-/// The shared execution state of both scheduler paths: everything except
-/// the event queue itself. Keeping it single ensures the wheel rewrite
-/// cannot drift from the preserved heap semantics.
+/// The execution state of a run: everything except the event queue.
 struct Exec<'a, P: Fsm> {
     protocol: &'a P,
     graph: &'a Graph,
@@ -277,6 +337,9 @@ struct Exec<'a, P: Fsm> {
     /// FIFO watermark per directed edge, indexed by the *sender's* CSR
     /// slot for `v → neighbors(v)[k]`.
     last_arrival: Vec<f64>,
+    /// Per-node incarnation, bumped by every crash and restart. All zero
+    /// on churn-free runs.
+    inc: Vec<u32>,
     rngs: Vec<SmallRng>,
     step_counts: Vec<u64>,
     unfinished: usize,
@@ -305,6 +368,7 @@ impl<'a, P: Fsm> Exec<'a, P> {
             ports: FlatPorts::new(graph, sigma, sigma0),
             pending: vec![false; graph.port_slot_count()],
             last_arrival: vec![0.0; graph.port_slot_count()],
+            inc: vec![0; n],
             rngs: (0..n as u64)
                 .map(|v| SmallRng::seed_from_u64(splitmix64(seed ^ splitmix64(v ^ 0xABCD))))
                 .collect(),
@@ -330,6 +394,9 @@ impl<'a, P: Fsm> Exec<'a, P> {
             protocol,
             graph,
             b: protocol.bound(),
+            inc: res
+                .churn
+                .map_or_else(|| vec![0; res.states.len()], |(inc, _)| inc),
             states: res.states,
             ports: FlatPorts::from_letters(graph, protocol.alphabet().len(), res.letters),
             pending: res.pending,
@@ -345,25 +412,61 @@ impl<'a, P: Fsm> Exec<'a, P> {
         }
     }
 
-    /// Serializes a step boundary into a [`Snapshot`]: the shared state
-    /// plus the loop counters and the caller-collected event backlog.
+    /// Serializes a step boundary into a snapshot and hands it to the
+    /// observer: the execution state, the loop counters, the churn
+    /// cursor, and the queue's backlog with every run expanded into its
+    /// per-letter deliveries at their exact consecutive seqs — so the
+    /// frame bytes are the same whichever queue holds the events.
     #[allow(clippy::too_many_arguments)]
-    fn checkpoint<S2>(
+    fn checkpoint<Q: EventQueue, O: Observer<P::State> + ?Sized>(
         &self,
         snap: &SnapArgs<'_, P::State>,
         events: u64,
         seq: u64,
-        churn: Option<(&[u32], u64)>,
+        queue: &Q,
+        cursor: Option<u64>,
         faults: Option<FaultSummary>,
-        backlog: Vec<BacklogEvent>,
-        observer: &mut S2,
-    ) where
-        S2: AsyncObserver<P::State> + ?Sized,
-    {
-        let codec = snap.codec();
+        observer: &mut O,
+    ) {
+        let mut backlog = Vec::new();
+        for (time, seq, ev) in queue.entries() {
+            let kind = match ev {
+                Ev::Step(node, inc) => BacklogKind::Step { node, inc },
+                Ev::Deliver {
+                    node,
+                    slot,
+                    letter,
+                    inc,
+                } => BacklogKind::Deliver {
+                    node,
+                    slot,
+                    letter,
+                    inc,
+                },
+                Ev::DeliverRun {
+                    v,
+                    from,
+                    len,
+                    letter,
+                } => {
+                    let targets = self.run_targets(v, from, len).zip(seq..);
+                    backlog.extend(targets.map(|((node, slot), seq)| {
+                        let kind = BacklogKind::Deliver {
+                            node,
+                            slot,
+                            letter,
+                            inc: 0,
+                        };
+                        BacklogEvent { time, seq, kind }
+                    }));
+                    continue;
+                }
+            };
+            backlog.push(BacklogEvent { time, seq, kind });
+        }
         let s = snapshot::encode_async(
             snap.meta,
-            &codec,
+            &snap.codec(),
             AsyncCapture {
                 total_steps: self.total_steps,
                 events,
@@ -379,12 +482,39 @@ impl<'a, P: Fsm> Exec<'a, P> {
                 last_arrival: &self.last_arrival,
                 step_counts: &self.step_counts,
                 rngs: &self.rngs,
-                churn,
+                churn: cursor.map(|c| (&self.inc[..], c)),
                 faults,
                 backlog,
             },
         );
         observer.on_checkpoint(&s);
+    }
+
+    /// The receivers of `v`'s ports `from..from + len`, each with its
+    /// receiver-side flat slot (via the precomputed reverse-port map).
+    #[inline]
+    fn run_targets(
+        &self,
+        v: NodeId,
+        from: u32,
+        len: u32,
+    ) -> impl Iterator<Item = (NodeId, u32)> + '_ {
+        let nbrs = self.graph.neighbors(v);
+        let rev = self.graph.reverse_ports(v);
+        (from as usize..(from + len) as usize).map(move |k| {
+            (
+                nbrs[k],
+                (self.graph.csr_offset(nbrs[k]) + rev[k] as usize) as u32,
+            )
+        })
+    }
+
+    /// Whether a delivery stamped with incarnation `inc` still lands:
+    /// the receiver has not crashed since it was sent, and the slot's
+    /// edge is up.
+    #[inline]
+    fn admits(&self, node: NodeId, slot: u32, inc: u32) -> bool {
+        inc == self.inc[node as usize] && self.ports.letter_at(slot as usize) != TOMBSTONE
     }
 
     /// One port write with overwrite-loss accounting.
@@ -398,30 +528,73 @@ impl<'a, P: Fsm> Exec<'a, P> {
         self.deliveries += 1;
     }
 
-    /// Applies a group of same-instant deliveries **to one receiver**
-    /// (from different senders) with a single count-update pass — the
-    /// wheel loop's per-receiver coalescing. The slots are pairwise
-    /// distinct (per-edge FIFO forbids two same-instant arrivals on one
-    /// directed edge), so the pending flags, overwrite-loss accounting,
-    /// letter swaps, and net count deltas are all order-independent:
-    /// the result is bit-identical to per-letter [`Exec::deliver`] calls
-    /// in the heap path's order.
+    /// Appends the deliveries of `ev` that still land to a same-instant
+    /// `batch`, and returns how many events `ev` counts for.
     #[inline]
-    fn deliver_grouped(
+    fn gather(&self, ev: Ev, batch: &mut Vec<(NodeId, u32, Letter)>) -> u64 {
+        match ev {
+            Ev::Deliver {
+                node,
+                slot,
+                letter,
+                inc,
+            } => {
+                if self.admits(node, slot, inc) {
+                    batch.push((node, slot, letter));
+                }
+                1
+            }
+            Ev::DeliverRun {
+                v,
+                from,
+                len,
+                letter,
+            } => {
+                batch.extend(
+                    self.run_targets(v, from, len)
+                        .map(|(node, slot)| (node, slot, letter)),
+                );
+                len as u64
+            }
+            Ev::Step(..) => unreachable!("steps never enter a delivery batch"),
+        }
+    }
+
+    /// Applies a gathered batch of same-instant deliveries, grouped by
+    /// receiver: one count-update pass per receiver. The slots are
+    /// pairwise distinct (per-edge FIFO forbids two same-instant arrivals
+    /// on one directed edge), so the pending flags, overwrite-loss
+    /// accounting, letter swaps, and net count deltas are all
+    /// order-independent: the result is bit-identical to per-letter
+    /// [`Exec::deliver`] calls in `(time, seq)` order.
+    fn deliver_batch(
         &mut self,
-        node: NodeId,
-        writes: &[(u32, Letter)],
+        batch: &mut [(NodeId, u32, Letter)],
+        group: &mut Vec<(u32, Letter)>,
         deltas: &mut Vec<(u16, i64)>,
     ) {
-        for &(slot, _) in writes {
-            let slot = slot as usize;
-            if self.pending[slot] {
-                self.lost_overwrites += 1;
-            }
-            self.pending[slot] = true;
+        if let [(node, slot, letter)] = *batch {
+            self.deliver(node, slot as usize, letter);
+            return;
         }
-        self.ports.deliver_run(node as usize, writes, deltas);
-        self.deliveries += writes.len() as u64;
+        batch.sort_unstable_by_key(|&(node, slot, _)| (node, slot));
+        for run in batch.chunk_by(|a, b| a.0 == b.0) {
+            if let [(node, slot, letter)] = *run {
+                self.deliver(node, slot as usize, letter);
+                continue;
+            }
+            group.clear();
+            group.extend(run.iter().map(|&(_, slot, letter)| (slot, letter)));
+            for &(slot, _) in group.iter() {
+                let slot = slot as usize;
+                if self.pending[slot] {
+                    self.lost_overwrites += 1;
+                }
+                self.pending[slot] = true;
+            }
+            self.ports.deliver_run(run[0].0 as usize, group, deltas);
+            self.deliveries += group.len() as u64;
+        }
     }
 
     /// Applies node `v`'s pending transition: clears its pending marks,
@@ -456,12 +629,11 @@ impl<'a, P: Fsm> Exec<'a, P> {
     }
 
     /// Computes the FIFO-bumped arrival time of `v`'s step-`t` broadcast
-    /// at every neighbor, in port order, into `arrivals`. The delay draws,
-    /// `max_param` folding, and the per-edge watermark update are the
-    /// single transcription both scheduler paths share.
-    fn compute_arrivals<A: Adversary + ?Sized>(
+    /// at every neighbor, in port order, into `arrivals`: the delay
+    /// draws, `max_param` folding, and the per-edge watermark update.
+    fn compute_arrivals(
         &mut self,
-        adversary: &A,
+        adversary: &dyn Adversary,
         v: NodeId,
         t: u64,
         now: f64,
@@ -493,7 +665,7 @@ impl<'a, P: Fsm> Exec<'a, P> {
 
     /// The next step length for `(v, t)`, folded into the time unit.
     #[inline]
-    fn step_length<A: Adversary + ?Sized>(&mut self, adversary: &A, v: NodeId, t: u64) -> f64 {
+    fn step_length(&mut self, adversary: &dyn Adversary, v: NodeId, t: u64) -> f64 {
         let l = adversary.step_length(v, t);
         debug_assert!(
             l.is_finite() && l > 0.0,
@@ -504,18 +676,88 @@ impl<'a, P: Fsm> Exec<'a, P> {
         l
     }
 
-    fn outcome(self, completion_time: f64) -> (AsyncOutcome, Vec<P::State>) {
+    /// Applies every churn boundary due at or before the queue's head
+    /// event, or every remaining one once the queue has drained. The
+    /// head is peeked afresh before each boundary: a restart schedules
+    /// the reborn node's first step, which may precede the old head.
+    /// Returns the completion time if the run completes at a boundary.
+    fn apply_boundaries<Q: EventQueue>(
+        &mut self,
+        ctl: &mut ChurnCtl<'_>,
+        queue: &mut Q,
+        seq: &mut u64,
+        adversary: &dyn Adversary,
+        inputs: &[usize],
+    ) -> Option<f64> {
+        while let Some(round) = ctl.peek_round() {
+            let tb = round as f64;
+            if queue.peek().is_some_and(|(head, _)| head < tb) {
+                return None;
+            }
+            let (ev, effective) = ctl.apply_next(self.graph);
+            if effective {
+                match ev {
+                    TopologyEvent::Crash(v) => {
+                        let vi = v as usize;
+                        self.inc[vi] += 1;
+                        if self.protocol.output(&self.states[vi]).is_none() {
+                            self.unfinished -= 1;
+                        }
+                    }
+                    TopologyEvent::Restart(v) => {
+                        let vi = v as usize;
+                        self.inc[vi] += 1;
+                        self.states[vi] = self.protocol.restart_state(inputs[vi]);
+                        if self.protocol.output(&self.states[vi]).is_none() {
+                            self.unfinished += 1;
+                        }
+                        let l = self.step_length(adversary, v, self.step_counts[vi]);
+                        queue.push(tb + l, *seq, Ev::Step(v, self.inc[vi]));
+                        *seq += 1;
+                    }
+                    TopologyEvent::EdgeInsert(..) | TopologyEvent::EdgeDelete(..) => {}
+                }
+                // A patched slot never carries a stale pending mark:
+                // retired slots have no observable letter, revived ones
+                // hold σ₀ as a fresh registration would.
+                for p in ctl.patches() {
+                    self.pending[p.slot as usize] = false;
+                }
+                ctl.patch_ports(self.graph, &mut self.ports);
+            }
+            if self.unfinished == 0 && ctl.exhausted() {
+                return Some(tb);
+            }
+        }
+        None
+    }
+
+    /// The outcome at `completion_time`. Nodes dead at termination
+    /// (`live[v]` false) decode to [`DEAD_OUTPUT`] unless they decided
+    /// before crashing.
+    fn outcome(self, completion_time: f64, live: Option<&[bool]>) -> (AsyncOutcome, Vec<P::State>) {
         let outputs = self
             .states
             .iter()
-            .map(|q| self.protocol.output(q).expect("output configuration"))
+            .enumerate()
+            .map(|(v, q)| match self.protocol.output(q) {
+                Some(out) => out,
+                None if live.is_some_and(|live| !live[v]) => DEAD_OUTPUT,
+                None => panic!("live nodes are decided at termination"),
+            })
             .collect();
+        // A run that completes before its first step drew no parameter.
+        let time_unit = if self.max_param > 0.0 {
+            self.max_param
+        } else {
+            1.0
+        };
         (
             AsyncOutcome {
                 outputs,
                 completion_time,
-                time_unit: self.max_param,
-                normalized_time: completion_time / self.max_param,
+                time_unit,
+                normalized_time: completion_time / time_unit,
                 total_steps: self.total_steps,
                 messages_sent: self.messages_sent,
                 deliveries: self.deliveries,
@@ -569,9 +811,9 @@ fn choose_bucket_width<A: Adversary + ?Sized>(
 
 /// The asynchronous engine: runs `protocol` under `adversary`, invoking
 /// `observer` after every node step, and returns the final per-node
-/// state vector next to the legacy outcome. The [`crate::Simulation`]
-/// builder's Async row points here; under a churn `plan` it hands the
-/// run to [`exec_async_churn`] and reports its [`ChurnSummary`].
+/// state vector next to the outcome (and the [`crate::ChurnSummary`] of
+/// a churn `plan`). The [`crate::Simulation`] builder's Async row points
+/// here.
 ///
 /// Inputs are validated by the builder; this function assumes
 /// `inputs.len() == graph.node_count()`.
@@ -592,34 +834,30 @@ pub(crate) fn exec_async<P: Fsm>(
     // untaken branch per step costs measurable throughput.
     match observer {
         Some(o) => run_async(
-            protocol,
-            graph,
-            inputs,
-            adversary,
-            config,
-            plan,
-            &mut Bridge(Some(o)),
-            snap,
-            faults,
+            protocol, graph, inputs, adversary, config, plan, o, snap, faults,
         ),
         None => run_async(
-            protocol,
-            graph,
-            inputs,
-            adversary,
-            config,
-            plan,
-            &mut NoopAsyncObserver,
-            snap,
-            faults,
+            protocol, graph, inputs, adversary, config, plan, &mut Quiet, snap, faults,
         ),
     }
 }
 
+/// The queue-side remainder of a decoded async snapshot: the serialized
+/// event backlog and the loop-owned global counters. The loop seeds its
+/// queue from the backlog *instead of* the per-node initial step events.
+struct AsyncSeed {
+    backlog: Vec<BacklogEvent>,
+    events: u64,
+    seq: u64,
+}
+
+/// Sets a run up — the churn universe and controller, the compiled
+/// fault plan, a fresh or resumed engine — runs the event loop on the
+/// configured queue, and decodes the outcome.
 #[allow(clippy::too_many_arguments)]
-fn run_async<P: Fsm, O: AsyncObserver<P::State>>(
+fn run_async<P: Fsm, O: Observer<P::State> + ?Sized>(
     protocol: &P,
-    graph: &Graph,
+    base: &Graph,
     inputs: &[usize],
     adversary: &dyn Adversary,
     config: &AsyncConfig,
@@ -628,15 +866,16 @@ fn run_async<P: Fsm, O: AsyncObserver<P::State>>(
     snap: &SnapArgs<'_, P::State>,
     faults: FaultsArg<'_>,
 ) -> RowResult<AsyncOutcome, P::State> {
-    if let Some(plan) = plan {
-        let (out, states, summary) = exec_async_churn(
-            protocol, graph, inputs, adversary, config, plan, observer, snap, faults,
-        )?;
-        return Ok((out, states, Some(summary)));
-    }
+    let universe;
+    let graph = match plan {
+        Some(plan) => {
+            universe = plan.universe(base).map_err(plan_config)?;
+            &universe
+        }
+        None => base,
+    };
     let n = graph.node_count();
     debug_assert_eq!(inputs.len(), n, "the builder validates input length");
-
     // Deliver events carry the receiver's flat CSR slot as u32; fail fast
     // rather than silently wrapping on graphs beyond that addressing limit
     // (~2.1B directed port slots).
@@ -647,13 +886,22 @@ fn run_async<P: Fsm, O: AsyncObserver<P::State>>(
     );
 
     let (fctx, fout) = compile_faults(faults, graph, protocol.alphabet().len())?;
-    let (ex, seed, tally) = match snap.resume {
+    let mut churn = plan
+        .map(|plan| ChurnCtl::new(plan, base, graph, protocol.initial_letter()))
+        .transpose()?;
+    let (mut ex, resume, tally) = match snap.resume {
         Some(s) => {
             let mut res = snapshot::decode_async(s, &snap.codec(), n, graph.port_slot_count())?;
-            if res.churn.is_some() || res.faults.is_some() != fctx.is_some() {
+            if res.churn.is_some() != churn.is_some() || res.faults.is_some() != fctx.is_some() {
                 return Err(ExecError::Snapshot(SnapshotError::DigestMismatch {
                     field: "snapshot body kind",
                 }));
+            }
+            // The restored store already reflects the setup patches and
+            // every boundary up to the cursor; only the overlay replica,
+            // effectiveness counters, and cursor need rebuilding.
+            if let (Some(ctl), Some((_, cursor))) = (&mut churn, &res.churn) {
+                ctl.fast_forward(graph, *cursor)?;
             }
             let seed = AsyncSeed {
                 backlog: std::mem::take(&mut res.backlog),
@@ -663,898 +911,246 @@ fn run_async<P: Fsm, O: AsyncObserver<P::State>>(
             let tally = res.faults.unwrap_or_default();
             (Exec::from_resume(protocol, graph, res), Some(seed), tally)
         }
-        None => (
-            Exec::new(protocol, graph, inputs, config.seed),
-            None,
-            FaultSummary::default(),
-        ),
+        None => {
+            let mut ex = Exec::new(protocol, graph, inputs, config.seed);
+            if let Some(ctl) = &mut churn {
+                ctl.setup(&mut ex.ports);
+            }
+            (ex, None, FaultSummary::default())
+        }
     };
 
-    if seed.is_none() && ex.unfinished == 0 {
-        if let Some(out) = fout {
-            *out = Some(tally);
-        }
-        let outputs = ex
-            .states
-            .iter()
-            .map(|q| protocol.output(q).expect("checked"))
-            .collect();
-        return Ok((
-            AsyncOutcome {
-                outputs,
-                completion_time: 0.0,
-                time_unit: 1.0,
-                normalized_time: 0.0,
-                total_steps: 0,
-                messages_sent: 0,
-                deliveries: 0,
-                lost_overwrites: 0,
-            },
-            ex.states,
-            None,
-        ));
-    }
-
     let mut layer = FaultLayer::new(fctx.as_ref(), tally);
-    let result = if layer.ctx.is_some() {
-        // Faulted runs always drive the heap: the wheel's `DeliverRun`
-        // batching assumes one letter per run and pairwise-distinct
-        // receiver slots, which corruption and duplication break. Sound
-        // because the two schedulers are pinned bit-identical.
-        run_heap_loop(ex, adversary, config, observer, snap, seed, &mut layer)
+    let done =
+        resume.is_none() && ex.unfinished == 0 && churn.as_ref().is_none_or(|c| c.exhausted());
+    let result = if done {
+        Ok(0.0)
     } else {
+        let mut hooks = Hooks {
+            adversary,
+            inputs,
+            max_events: config.max_events,
+            churn: churn.as_mut(),
+            faults: &mut layer,
+            observer,
+            snap,
+        };
         match config.scheduler {
-            SchedulerKind::BinaryHeap => {
-                run_heap_loop(ex, adversary, config, observer, snap, seed, &mut layer)
-            }
+            SchedulerKind::BinaryHeap => event_loop(&mut ex, Heap::default(), &mut hooks, resume),
             SchedulerKind::CalendarWheel => {
-                run_wheel_loop(ex, adversary, config, observer, snap, seed, &mut layer)
+                let width = choose_bucket_width(adversary, graph, config.bucket_width);
+                event_loop(&mut ex, CalendarQueue::new(width), &mut hooks, resume)
             }
         }
     };
     if let Some(out) = fout {
         *out = Some(layer.tally);
     }
-    result.map(|(out, states)| (out, states, None))
+    let completion_time = result?;
+    let summary = churn.map(|ctl| ctl.finish());
+    let live = summary.as_ref().map(|s| &s.live_nodes[..]);
+    let (outcome, states) = ex.outcome(completion_time, live);
+    Ok((outcome, states, summary))
 }
 
-/// The queue-side remainder of a decoded async snapshot: the serialized
-/// event backlog and the loop-owned global counters. The loops seed their
-/// queue from the backlog *instead of* the per-node initial step events.
-struct AsyncSeed {
-    backlog: Vec<BacklogEvent>,
-    events: u64,
-    seq: u64,
+/// What the event loop consults besides the engine and its queue: the
+/// adversary, the event budget, and the churn, fault, observer and
+/// checkpoint hooks.
+struct Hooks<'h, 'p, 'f, O: ?Sized, S> {
+    adversary: &'h dyn Adversary,
+    inputs: &'h [usize],
+    max_events: u64,
+    churn: Option<&'h mut ChurnCtl<'p>>,
+    faults: &'h mut FaultLayer<'f>,
+    observer: &'h mut O,
+    snap: &'h SnapArgs<'h, S>,
 }
 
-/// The preserved binary-heap event loop: one heap entry per delivery,
-/// `O(log m)` per push/pop. Kept as the oracle the wheel is differentially
-/// tested against, and as the benchmark baseline.
-fn run_heap_loop<P: Fsm, A: Adversary + ?Sized, O: AsyncObserver<P::State>>(
-    mut ex: Exec<'_, P>,
-    adversary: &A,
-    config: &AsyncConfig,
-    observer: &mut O,
-    snap: &SnapArgs<'_, P::State>,
+/// The event loop, on either queue. Returns the completion time: the
+/// step or churn boundary after which every live node is decided and
+/// no churn event is left.
+fn event_loop<P: Fsm, Q: EventQueue, O: Observer<P::State> + ?Sized>(
+    ex: &mut Exec<'_, P>,
+    mut queue: Q,
+    h: &mut Hooks<'_, '_, '_, O, P::State>,
     resume: Option<AsyncSeed>,
-    faults: &mut FaultLayer<'_>,
-) -> Result<(AsyncOutcome, Vec<P::State>), ExecError> {
+) -> Result<f64, ExecError> {
     let n = ex.graph.node_count();
-    let mut seq = 0u64;
-    let mut events = 0u64;
-    let mut heap: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
-    let push = |heap: &mut BinaryHeap<Reverse<Event>>, seq: &mut u64, time: f64, kind| {
-        heap.push(Reverse(Event {
-            time,
-            seq: *seq,
-            kind,
-        }));
-        *seq += 1;
-    };
-
-    match resume {
+    let (mut events, mut seq) = match resume {
         Some(seed) => {
+            // The backlog carries each delivery individually with its
+            // exact `(time, seq)`, so it drains in the captured order —
+            // a run's grouped drain and its per-letter events gather into
+            // the identical batch.
             for e in seed.backlog {
-                heap.push(Reverse(Event {
-                    time: e.time,
-                    seq: e.seq,
-                    kind: match e.kind {
-                        BacklogKind::Step { node, .. } => HeapKind::Step(node),
-                        BacklogKind::Deliver {
-                            node, slot, letter, ..
-                        } => HeapKind::Deliver { node, slot, letter },
-                    },
-                }));
+                queue.push(e.time, e.seq, e.kind.into());
             }
-            events = seed.events;
-            seq = seed.seq;
+            (seed.events, seed.seq)
         }
         None => {
             for v in 0..n as NodeId {
-                let l = ex.step_length(adversary, v, 1);
-                push(&mut heap, &mut seq, l, HeapKind::Step(v));
+                let l = ex.step_length(h.adversary, v, 1);
+                queue.push(l, v as u64, Ev::Step(v, 0));
             }
+            (0, n as u64)
         }
-    }
-
+    };
+    let budget = |events: u64, ex: &Exec<'_, P>| {
+        if events > h.max_events {
+            Err(ExecError::EventLimit {
+                limit: h.max_events,
+                unfinished: ex.unfinished,
+            })
+        } else {
+            Ok(())
+        }
+    };
+    // Per-edge runs resolve their receiver slots at drain time, which
+    // needs a static port map: no churn. (Faulted senders never push
+    // runs; see the emission below.)
+    let runs = Q::BATCHES && h.churn.is_none();
     let mut arrivals: Vec<f64> = Vec::new();
     let mut fan: Vec<(NodeId, u32, f64, Letter)> = Vec::new();
-    let mut completion_time = None;
-    while let Some(Reverse(event)) = heap.pop() {
-        events += 1;
-        if events > config.max_events {
-            return Err(ExecError::EventLimit {
-                limit: config.max_events,
-                unfinished: ex.unfinished,
-            });
-        }
-        match event.kind {
-            HeapKind::Deliver { node, slot, letter } => {
-                ex.deliver(node, slot as usize, letter);
-            }
-            HeapKind::Step(v) => {
-                let vi = v as usize;
-                let (t, emission) = ex.apply_step(v);
-
-                if let Some(letter) = emission {
-                    ex.messages_sent += 1;
-                    ex.compute_arrivals(adversary, v, t, event.time, &mut arrivals);
-                    match faults.ctx {
-                        Some(ctx) if ctx.affects_sender(v) => {
-                            faulted_sends(
-                                ctx,
-                                &mut faults.tally,
-                                ex.graph,
-                                &mut ex.last_arrival,
-                                v,
-                                t,
-                                &arrivals,
-                                letter,
-                                &mut fan,
-                            );
-                            for &(u, slot, arrival, l) in &fan {
-                                push(
-                                    &mut heap,
-                                    &mut seq,
-                                    arrival,
-                                    HeapKind::Deliver {
-                                        node: u,
-                                        slot,
-                                        letter: l,
-                                    },
-                                );
-                            }
-                        }
-                        _ => {
-                            let nbrs = ex.graph.neighbors(v);
-                            let rev = ex.graph.reverse_ports(v);
-                            for (k, (&u, &rp)) in nbrs.iter().zip(rev).enumerate() {
-                                // The receiver-side flat slot, via the
-                                // precomputed reverse-port map.
-                                let slot = (ex.graph.csr_offset(u) + rp as usize) as u32;
-                                push(
-                                    &mut heap,
-                                    &mut seq,
-                                    arrivals[k],
-                                    HeapKind::Deliver {
-                                        node: u,
-                                        slot,
-                                        letter,
-                                    },
-                                );
-                            }
-                        }
-                    }
-                }
-
-                observer.on_step(event.time, v, t, &ex.states[vi]);
-
-                if ex.unfinished == 0 {
-                    completion_time = Some(event.time);
-                    break;
-                }
-
-                ex.step_counts[vi] = t + 1;
-                let l = ex.step_length(adversary, v, t + 1);
-                push(&mut heap, &mut seq, event.time + l, HeapKind::Step(v));
-
-                if snap.every > 0 && ex.total_steps.is_multiple_of(snap.every) {
-                    let backlog = heap
-                        .iter()
-                        .map(|Reverse(e)| BacklogEvent {
-                            time: e.time,
-                            seq: e.seq,
-                            kind: match e.kind {
-                                HeapKind::Step(node) => BacklogKind::Step { node, inc: 0 },
-                                HeapKind::Deliver { node, slot, letter } => BacklogKind::Deliver {
-                                    node,
-                                    slot,
-                                    letter,
-                                    inc: 0,
-                                },
-                            },
-                        })
-                        .collect();
-                    ex.checkpoint(snap, events, seq, None, faults.capture(), backlog, observer);
-                }
-            }
-        }
-    }
-
-    let completion_time = completion_time.expect(
-        "event queue cannot drain before an output configuration: every \
-         unfinished node always has a pending step event",
-    );
-    Ok(ex.outcome(completion_time))
-}
-
-/// The calendar-wheel event loop: O(1) amortized scheduling, and runs of
-/// same-arrival deliveries of one broadcast drain as a single batched
-/// flat-write pass. Bit-identical to [`run_heap_loop`] per seed.
-fn run_wheel_loop<P: Fsm, A: Adversary + ?Sized, O: AsyncObserver<P::State>>(
-    mut ex: Exec<'_, P>,
-    adversary: &A,
-    config: &AsyncConfig,
-    observer: &mut O,
-    snap: &SnapArgs<'_, P::State>,
-    resume: Option<AsyncSeed>,
-    faults: &mut FaultLayer<'_>,
-) -> Result<(AsyncOutcome, Vec<P::State>), ExecError> {
-    // Faulted runs are routed to the heap loop by `exec_async`.
-    debug_assert!(faults.ctx.is_none());
-    let n = ex.graph.node_count();
-    let width = choose_bucket_width(adversary, ex.graph, config.bucket_width);
-    let mut wheel: CalendarQueue<WheelKind> = CalendarQueue::new(width);
-    let mut seq = 0u64;
-    let mut events = 0u64;
-
-    match resume {
-        Some(seed) => {
-            // The snapshot backlog carries each delivery individually with
-            // its exact `(time, seq)`, so re-pushing them (no runs) drains
-            // in the same order — a run's grouped drain and its expanded
-            // per-letter events gather into the identical batch.
-            for e in seed.backlog {
-                let kind = match e.kind {
-                    BacklogKind::Step { node, .. } => WheelKind::Step(node),
-                    BacklogKind::Deliver {
-                        node, slot, letter, ..
-                    } => WheelKind::Deliver { node, slot, letter },
-                };
-                wheel.push(e.time, e.seq, kind);
-            }
-            events = seed.events;
-            seq = seed.seq;
-        }
-        None => {
-            for v in 0..n as NodeId {
-                let l = ex.step_length(adversary, v, 1);
-                wheel.push(l, seq, WheelKind::Step(v));
-                seq += 1;
-            }
-        }
-    }
-
-    let mut arrivals: Vec<f64> = Vec::new();
-    let mut completion_time = None;
-    // Per-receiver coalescing scratch: `batch` gathers the maximal run of
-    // consecutive same-instant delivery events (across senders), `held`
-    // parks the one event popped past the run's end, `deltas` is the
-    // count-merge scratch of `deliver_grouped`.
-    let mut held: Option<(f64, u64, WheelKind)> = None;
+    // Per-receiver coalescing scratch: `batch` gathers the consecutive
+    // same-instant deliveries, `group` one receiver's writes, `deltas`
+    // the count-merge scratch of `FlatPorts::deliver_run`.
     let mut batch: Vec<(NodeId, u32, Letter)> = Vec::new();
     let mut group: Vec<(u32, Letter)> = Vec::new();
     let mut deltas: Vec<(u16, i64)> = Vec::new();
-    while let Some((time, _, kind)) = held.take().or_else(|| wheel.pop()) {
-        match kind {
-            WheelKind::Deliver { .. } | WheelKind::DeliverRun { .. } => {
+    loop {
+        if let Some(ctl) = h.churn.as_deref_mut() {
+            if let Some(done) =
+                ex.apply_boundaries(ctl, &mut queue, &mut seq, h.adversary, h.inputs)
+            {
+                return Ok(done);
+            }
+        }
+        let (time, ev) = queue.pop().expect(
+            "the queue cannot drain while the run is incomplete: every live \
+             undecided node always has a pending step event",
+        );
+        let Ev::Step(v, inc) = ev else {
+            batch.clear();
+            events += ex.gather(ev, &mut batch);
+            if Q::BATCHES {
                 // Gather every consecutive delivery event at exactly this
-                // instant, then apply them grouped by receiver: arrivals
-                // of *different* broadcasts colliding on one node merge
-                // their pending-flag and count updates into one pass.
-                // Deliveries never change `unfinished` and the budget is
-                // counted per delivery as it is gathered, so hitting the
-                // event limit mid-batch reports exactly what the heap
-                // path's per-letter pops would have; and because same-
-                // instant deliveries always hit distinct slots (per-edge
-                // FIFO), the grouped application is bit-identical.
-                batch.clear();
-                let mut next = Some(kind);
-                while let Some(kind) = next.take() {
-                    match kind {
-                        WheelKind::Deliver { node, slot, letter } => {
-                            events += 1;
-                            if events > config.max_events {
-                                return Err(ExecError::EventLimit {
-                                    limit: config.max_events,
-                                    unfinished: ex.unfinished,
-                                });
-                            }
-                            batch.push((node, slot, letter));
-                        }
-                        WheelKind::DeliverRun {
-                            v,
-                            from,
-                            len,
-                            letter,
-                        } => {
-                            let nbrs = ex.graph.neighbors(v);
-                            let rev = ex.graph.reverse_ports(v);
-                            for k in from as usize..(from + len) as usize {
-                                events += 1;
-                                if events > config.max_events {
-                                    return Err(ExecError::EventLimit {
-                                        limit: config.max_events,
-                                        unfinished: ex.unfinished,
-                                    });
-                                }
-                                let u = nbrs[k];
-                                let slot = (ex.graph.csr_offset(u) + rev[k] as usize) as u32;
-                                batch.push((u, slot, letter));
-                            }
-                        }
-                        WheelKind::Step(_) => unreachable!("steps never enter a delivery batch"),
+                // instant, to apply them grouped by receiver. No churn
+                // boundary can fall inside the batch: those due at this
+                // instant were applied before its first event.
+                while let Some((t2, next)) = queue.peek() {
+                    if t2 != time || matches!(next, Ev::Step(..)) {
+                        break;
                     }
-                    if let Some((t2, s2, k2)) = wheel.pop() {
-                        if t2 == time && !matches!(k2, WheelKind::Step(_)) {
-                            next = Some(k2);
-                        } else {
-                            held = Some((t2, s2, k2));
-                        }
-                    }
-                }
-                if let [(node, slot, letter)] = batch[..] {
-                    ex.deliver(node, slot as usize, letter);
-                } else {
-                    batch.sort_unstable_by_key(|&(node, slot, _)| (node, slot));
-                    let mut i = 0;
-                    while i < batch.len() {
-                        let node = batch[i].0;
-                        let mut j = i + 1;
-                        while j < batch.len() && batch[j].0 == node {
-                            j += 1;
-                        }
-                        if j - i == 1 {
-                            ex.deliver(node, batch[i].1 as usize, batch[i].2);
-                        } else {
-                            group.clear();
-                            group.extend(
-                                batch[i..j].iter().map(|&(_, slot, letter)| (slot, letter)),
-                            );
-                            ex.deliver_grouped(node, &group, &mut deltas);
-                        }
-                        i = j;
-                    }
+                    queue.pop();
+                    events += ex.gather(next, &mut batch);
                 }
             }
-            WheelKind::Step(v) => {
-                events += 1;
-                if events > config.max_events {
-                    return Err(ExecError::EventLimit {
-                        limit: config.max_events,
-                        unfinished: ex.unfinished,
-                    });
-                }
-                let vi = v as usize;
-                let (t, emission) = ex.apply_step(v);
+            budget(events, ex)?;
+            ex.deliver_batch(&mut batch, &mut group, &mut deltas);
+            continue;
+        };
+        events += 1;
+        budget(events, ex)?;
+        let vi = v as usize;
+        if inc != ex.inc[vi] {
+            // A pre-crash step of a crashed (possibly since restarted)
+            // node: dropped, not rescheduled — the restart boundary
+            // scheduled the fresh incarnation's first step.
+            continue;
+        }
+        let (t, emission) = ex.apply_step(v);
 
-                if let Some(letter) = emission {
-                    ex.messages_sent += 1;
-                    ex.compute_arrivals(adversary, v, t, time, &mut arrivals);
+        if let Some(letter) = emission {
+            ex.messages_sent += 1;
+            ex.compute_arrivals(h.adversary, v, t, time, &mut arrivals);
+            fan.clear();
+            match h.faults.ctx {
+                Some(ctx) if ctx.affects_sender(v) => faulted_sends(
+                    ctx,
+                    &mut h.faults.tally,
+                    ex.graph,
+                    &mut ex.last_arrival,
+                    v,
+                    t,
+                    &arrivals,
+                    letter,
+                    &mut fan,
+                ),
+                _ if runs => {
                     // Partition the broadcast into maximal runs of equal
                     // arrival time (bitwise-equal f64s — the adversary's
                     // latency schedule lands directly in shared buckets).
-                    // A run of length `r` occupies `r` contiguous seqs, so
-                    // its single event sorts exactly where the heap path's
-                    // `r` per-letter events would, and nothing can
-                    // interleave them.
-                    let nbrs = ex.graph.neighbors(v);
-                    let rev = ex.graph.reverse_ports(v);
-                    let deg = nbrs.len();
-                    let mut k = 0usize;
-                    while k < deg {
+                    // A run of length `r` occupies `r` contiguous seqs,
+                    // so its single event sorts exactly where the heap's
+                    // `r` per-letter events would.
+                    let mut k = 0;
+                    while k < arrivals.len() {
                         let arrival = arrivals[k];
-                        let mut end = k + 1;
-                        while end < deg && arrivals[end] == arrival {
-                            end += 1;
-                        }
-                        let run = (end - k) as u32;
-                        if run == 1 {
-                            let slot = (ex.graph.csr_offset(nbrs[k]) + rev[k] as usize) as u32;
-                            wheel.push(
-                                arrival,
-                                seq,
-                                WheelKind::Deliver {
-                                    node: nbrs[k],
-                                    slot,
-                                    letter,
-                                },
-                            );
+                        let len = arrivals[k..].iter().take_while(|&&a| a == arrival).count();
+                        let ev = if len == 1 {
+                            let (node, slot) =
+                                ex.run_targets(v, k as u32, 1).next().expect("one port");
+                            Ev::Deliver {
+                                node,
+                                slot,
+                                letter,
+                                inc: 0,
+                            }
                         } else {
-                            wheel.push(
-                                arrival,
-                                seq,
-                                WheelKind::DeliverRun {
-                                    v,
-                                    from: k as u32,
-                                    len: run,
-                                    letter,
-                                },
-                            );
-                        }
-                        seq += run as u64;
-                        k = end;
-                    }
-                }
-
-                observer.on_step(time, v, t, &ex.states[vi]);
-
-                if ex.unfinished == 0 {
-                    completion_time = Some(time);
-                    break;
-                }
-
-                ex.step_counts[vi] = t + 1;
-                let l = ex.step_length(adversary, v, t + 1);
-                wheel.push(time + l, seq, WheelKind::Step(v));
-                seq += 1;
-
-                if snap.every > 0 && ex.total_steps.is_multiple_of(snap.every) {
-                    // `held` is provably `None` here: it is taken at the
-                    // loop head and only re-set inside the delivery-batch
-                    // arm, so the wheel holds the complete backlog. Runs
-                    // are expanded into per-letter deliveries with their
-                    // exact consecutive seqs — the snapshot bytes are
-                    // identical to the heap scheduler's.
-                    debug_assert!(held.is_none());
-                    let mut backlog = Vec::new();
-                    for (time, seq, kind) in wheel.entries() {
-                        match *kind {
-                            WheelKind::Step(node) => backlog.push(BacklogEvent {
-                                time,
-                                seq,
-                                kind: BacklogKind::Step { node, inc: 0 },
-                            }),
-                            WheelKind::Deliver { node, slot, letter } => {
-                                backlog.push(BacklogEvent {
-                                    time,
-                                    seq,
-                                    kind: BacklogKind::Deliver {
-                                        node,
-                                        slot,
-                                        letter,
-                                        inc: 0,
-                                    },
-                                })
-                            }
-                            WheelKind::DeliverRun {
+                            Ev::DeliverRun {
                                 v,
-                                from,
-                                len,
+                                from: k as u32,
+                                len: len as u32,
                                 letter,
-                            } => {
-                                let nbrs = ex.graph.neighbors(v);
-                                let rev = ex.graph.reverse_ports(v);
-                                for (i, k) in (from as usize..(from + len) as usize).enumerate() {
-                                    let u = nbrs[k];
-                                    let slot = (ex.graph.csr_offset(u) + rev[k] as usize) as u32;
-                                    backlog.push(BacklogEvent {
-                                        time,
-                                        seq: seq + i as u64,
-                                        kind: BacklogKind::Deliver {
-                                            node: u,
-                                            slot,
-                                            letter,
-                                            inc: 0,
-                                        },
-                                    });
-                                }
                             }
-                        }
+                        };
+                        queue.push(arrival, seq, ev);
+                        seq += len as u64;
+                        k += len;
                     }
-                    ex.checkpoint(snap, events, seq, None, faults.capture(), backlog, observer);
                 }
+                _ => fan.extend(
+                    ex.run_targets(v, 0, arrivals.len() as u32)
+                        .zip(&arrivals)
+                        .map(|((node, slot), &arrival)| (node, slot, arrival, letter)),
+                ),
             }
-        }
-    }
-
-    let completion_time = completion_time.expect(
-        "event queue cannot drain before an output configuration: every \
-         unfinished node always has a pending step event",
-    );
-    Ok(ex.outcome(completion_time))
-}
-
-/// Events of the churn-aware heap loop: like [`HeapKind`], plus the
-/// receiver/stepper **incarnation** the event was enqueued under. A crash
-/// bumps its node's incarnation, so every in-flight letter addressed to
-/// the pre-crash node and every pending step of it goes stale and is
-/// dropped on pop — exactly the "crash drops in-flight letters" semantics
-/// — without purging the queue.
-#[derive(Clone, Copy, Debug)]
-enum ChurnKind {
-    /// Node applies its next transition (if its incarnation still matches).
-    Step(NodeId, u32),
-    /// A letter lands at `slot` of `node` (if the incarnation matches and
-    /// the slot is alive).
-    Deliver {
-        node: NodeId,
-        slot: u32,
-        letter: Letter,
-        inc: u32,
-    },
-}
-
-/// The asynchronous engine under a churn plan. Boundaries are expressed
-/// in **absolute time**: the event stamped with round `r` applies at time
-/// `t = r`, before any queue event with time ≥ `t` is processed (and
-/// between same-instant events deterministically — the boundary always
-/// wins the tie). Always drives a binary-heap loop regardless of
-/// [`AsyncConfig::scheduler`]: the calendar wheel's batched
-/// `DeliverRun` events resolve receiver slots lazily against a port map
-/// assumed static for the run, an assumption churn breaks; the heap pays
-/// `O(log m)` but needs no such invariant. In-flight letters crossing an
-/// edge-delete boundary bounce off the tombstoned slot; letters in
-/// flight across a delete + re-insert window do land (the channel was
-/// re-established before arrival).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_async_churn<P, A, O>(
-    protocol: &P,
-    base: &Graph,
-    inputs: &[usize],
-    adversary: &A,
-    config: &AsyncConfig,
-    plan: &ChurnPlan,
-    observer: &mut O,
-    snap: &SnapArgs<'_, P::State>,
-    faults: FaultsArg<'_>,
-) -> Result<(AsyncOutcome, Vec<P::State>, ChurnSummary), ExecError>
-where
-    P: Fsm,
-    A: Adversary + ?Sized,
-    O: AsyncObserver<P::State>,
-{
-    use crate::churn::{ChurnCtl, DEAD_OUTPUT};
-    use crate::engine::TOMBSTONE;
-
-    let universe = plan.universe(base).map_err(plan_config)?;
-    let n = universe.node_count();
-    debug_assert_eq!(inputs.len(), n, "the builder validates input length");
-    assert!(
-        u32::try_from(universe.port_slot_count()).is_ok(),
-        "universe graph has {} directed port slots, exceeding the async engine's u32 slot addressing",
-        universe.port_slot_count()
-    );
-
-    let (fctx, fout) = compile_faults(faults, &universe, protocol.alphabet().len())?;
-    let mut ctl = ChurnCtl::new(plan, base, &universe, protocol.initial_letter())?;
-    let mut seq = 0u64;
-    let mut events = 0u64;
-    let mut heap: BinaryHeap<Reverse<Event2>> = BinaryHeap::new();
-    let mut tally = FaultSummary::default();
-    let (mut ex, mut incarnation) = match snap.resume {
-        Some(s) => {
-            let mut res = snapshot::decode_async(s, &snap.codec(), n, universe.port_slot_count())?;
-            if res.faults.is_some() != fctx.is_some() {
-                return Err(ExecError::Snapshot(SnapshotError::DigestMismatch {
-                    field: "snapshot body kind",
-                }));
-            }
-            tally = res.faults.unwrap_or_default();
-            let Some((incarnation, cursor)) = res.churn.take() else {
-                return Err(ExecError::Snapshot(SnapshotError::DigestMismatch {
-                    field: "snapshot body kind",
-                }));
-            };
-            // The restored store already reflects the setup patches and
-            // every boundary up to the cursor; only the overlay replica,
-            // effectiveness counters, and cursor need rebuilding.
-            ctl.fast_forward(&universe, cursor)?;
-            for e in std::mem::take(&mut res.backlog) {
-                let kind = match e.kind {
-                    BacklogKind::Step { node, inc } => ChurnKind::Step(node, inc),
-                    BacklogKind::Deliver {
-                        node,
-                        slot,
-                        letter,
-                        inc,
-                    } => ChurnKind::Deliver {
-                        node,
-                        slot,
-                        letter,
-                        inc,
-                    },
+            for &(node, slot, arrival, letter) in &fan {
+                let inc = ex.inc[node as usize];
+                let ev = Ev::Deliver {
+                    node,
+                    slot,
+                    letter,
+                    inc,
                 };
-                heap.push(Reverse(Event2 {
-                    time: e.time,
-                    seq: e.seq,
-                    kind,
-                }));
-            }
-            events = res.events;
-            seq = res.seq;
-            (Exec::from_resume(protocol, &universe, res), incarnation)
-        }
-        None => {
-            let mut ex = Exec::new(protocol, &universe, inputs, config.seed);
-            ctl.setup(&mut ex.ports);
-            for v in 0..n as NodeId {
-                let l = ex.step_length(adversary, v, 1);
-                heap.push(Reverse(Event2 {
-                    time: l,
-                    seq,
-                    kind: ChurnKind::Step(v, 0),
-                }));
+                queue.push(arrival, seq, ev);
                 seq += 1;
             }
-            (ex, vec![0u32; n])
         }
-    };
 
-    let mut layer = FaultLayer::new(fctx.as_ref(), tally);
-    let mut arrivals: Vec<f64> = Vec::new();
-    let mut fan: Vec<(NodeId, u32, f64, Letter)> = Vec::new();
-    let mut now = 0.0f64;
-    let completion_time;
-    'run: loop {
-        let head = heap.pop();
-        let horizon = head.as_ref().map_or(f64::INFINITY, |Reverse(e)| e.time);
-        // Apply every boundary due at or before the next queue event
-        // (or, with a drained queue, the next boundary outright — all
-        // live nodes may be gone while a restart is still scheduled).
-        while ctl.peek_round().is_some_and(|r| (r as f64) <= horizon) {
-            let tb = ctl.peek_round().unwrap() as f64;
-            now = now.max(tb);
-            let (ev, effective) = ctl.apply_next(&universe);
-            if !effective {
-                continue;
-            }
-            match ev {
-                stoneage_graph::TopologyEvent::Crash(v) => {
-                    let vi = v as usize;
-                    incarnation[vi] += 1;
-                    if protocol.output(&ex.states[vi]).is_none() {
-                        ex.unfinished -= 1;
-                    }
-                }
-                stoneage_graph::TopologyEvent::Restart(v) => {
-                    let vi = v as usize;
-                    incarnation[vi] += 1;
-                    ex.states[vi] = protocol.restart_state(inputs[vi]);
-                    if protocol.output(&ex.states[vi]).is_none() {
-                        ex.unfinished += 1;
-                    }
-                    let t = ex.step_counts[vi];
-                    let l = ex.step_length(adversary, v, t);
-                    heap.push(Reverse(Event2 {
-                        time: tb + l,
-                        seq,
-                        kind: ChurnKind::Step(v, incarnation[vi]),
-                    }));
-                    seq += 1;
-                }
-                _ => {}
-            }
-            // A patched slot never carries a stale pending mark: retired
-            // slots have no observable letter, revived ones hold σ₀ as a
-            // fresh registration would.
-            for p in ctl.patches() {
-                ex.pending[p.slot as usize] = false;
-            }
-            ctl.patch_ports(&universe, &mut ex.ports);
-            if ex.unfinished == 0 && ctl.exhausted() {
-                completion_time = tb;
-                break 'run;
-            }
+        h.observer.on_step(time, v, t, &ex.states[vi]);
+
+        if ex.unfinished == 0 && h.churn.as_ref().is_none_or(|c| c.exhausted()) {
+            return Ok(time);
         }
-        let Some(Reverse(event)) = head else {
-            unreachable!(
-                "the queue cannot drain while the run is incomplete: every \
-                 live node always has a pending step event and pending \
-                 boundaries are applied on a drained queue"
+
+        ex.step_counts[vi] = t + 1;
+        let l = ex.step_length(h.adversary, v, t + 1);
+        queue.push(time + l, seq, Ev::Step(v, inc));
+        seq += 1;
+
+        if h.snap.every > 0 && ex.total_steps.is_multiple_of(h.snap.every) {
+            let cursor = h.churn.as_ref().map(|c| c.cursor());
+            ex.checkpoint(
+                h.snap,
+                events,
+                seq,
+                &queue,
+                cursor,
+                h.faults.capture(),
+                h.observer,
             );
-        };
-        now = event.time;
-        events += 1;
-        if events > config.max_events {
-            return Err(ExecError::EventLimit {
-                limit: config.max_events,
-                unfinished: ex.unfinished,
-            });
         }
-        match event.kind {
-            ChurnKind::Deliver {
-                node,
-                slot,
-                letter,
-                inc,
-            } => {
-                // Stale incarnation: the letter was in flight toward a
-                // node that crashed; tombstoned slot: the edge (or the
-                // receiver) is currently down. Either way the letter is
-                // dropped without delivery accounting.
-                if inc == incarnation[node as usize]
-                    && ex.ports.letter_at(slot as usize) != TOMBSTONE
-                {
-                    ex.deliver(node, slot as usize, letter);
-                }
-            }
-            ChurnKind::Step(v, inc) => {
-                let vi = v as usize;
-                if inc != incarnation[vi] {
-                    // A pre-crash step of a crashed (possibly since
-                    // restarted) node: dropped, not rescheduled — the
-                    // restart boundary scheduled the fresh incarnation's
-                    // first step.
-                    continue;
-                }
-                let (t, emission) = ex.apply_step(v);
-
-                if let Some(letter) = emission {
-                    ex.messages_sent += 1;
-                    ex.compute_arrivals(adversary, v, t, event.time, &mut arrivals);
-                    match layer.ctx {
-                        Some(ctx) if ctx.affects_sender(v) => {
-                            faulted_sends(
-                                ctx,
-                                &mut layer.tally,
-                                ex.graph,
-                                &mut ex.last_arrival,
-                                v,
-                                t,
-                                &arrivals,
-                                letter,
-                                &mut fan,
-                            );
-                            for &(u, slot, arrival, l) in &fan {
-                                heap.push(Reverse(Event2 {
-                                    time: arrival,
-                                    seq,
-                                    kind: ChurnKind::Deliver {
-                                        node: u,
-                                        slot,
-                                        letter: l,
-                                        inc: incarnation[u as usize],
-                                    },
-                                }));
-                                seq += 1;
-                            }
-                        }
-                        _ => {
-                            let nbrs = ex.graph.neighbors(v);
-                            let rev = ex.graph.reverse_ports(v);
-                            for (k, (&u, &rp)) in nbrs.iter().zip(rev).enumerate() {
-                                let slot = (ex.graph.csr_offset(u) + rp as usize) as u32;
-                                heap.push(Reverse(Event2 {
-                                    time: arrivals[k],
-                                    seq,
-                                    kind: ChurnKind::Deliver {
-                                        node: u,
-                                        slot,
-                                        letter,
-                                        inc: incarnation[u as usize],
-                                    },
-                                }));
-                                seq += 1;
-                            }
-                        }
-                    }
-                }
-
-                observer.on_step(event.time, v, t, &ex.states[vi]);
-
-                if ex.unfinished == 0 && ctl.exhausted() {
-                    completion_time = event.time;
-                    break 'run;
-                }
-
-                ex.step_counts[vi] = t + 1;
-                let l = ex.step_length(adversary, v, t + 1);
-                heap.push(Reverse(Event2 {
-                    time: event.time + l,
-                    seq,
-                    kind: ChurnKind::Step(v, inc),
-                }));
-                seq += 1;
-
-                if snap.every > 0 && ex.total_steps.is_multiple_of(snap.every) {
-                    let backlog = heap
-                        .iter()
-                        .map(|Reverse(e)| BacklogEvent {
-                            time: e.time,
-                            seq: e.seq,
-                            kind: match e.kind {
-                                ChurnKind::Step(node, inc) => BacklogKind::Step { node, inc },
-                                ChurnKind::Deliver {
-                                    node,
-                                    slot,
-                                    letter,
-                                    inc,
-                                } => BacklogKind::Deliver {
-                                    node,
-                                    slot,
-                                    letter,
-                                    inc,
-                                },
-                            },
-                        })
-                        .collect();
-                    ex.checkpoint(
-                        snap,
-                        events,
-                        seq,
-                        Some((&incarnation, ctl.cursor())),
-                        layer.capture(),
-                        backlog,
-                        observer,
-                    );
-                }
-            }
-        }
-    }
-
-    if let Some(out) = fout {
-        *out = Some(layer.tally);
-    }
-    let summary = ctl.finish();
-    let outputs = ex
-        .states
-        .iter()
-        .zip(&summary.live_nodes)
-        .map(|(q, &live)| {
-            if live {
-                protocol.output(q).expect("live nodes are decided")
-            } else {
-                protocol.output(q).unwrap_or(DEAD_OUTPUT)
-            }
-        })
-        .collect();
-    let time_unit = if ex.max_param > 0.0 {
-        ex.max_param
-    } else {
-        1.0
-    };
-    let outcome = AsyncOutcome {
-        outputs,
-        completion_time,
-        time_unit,
-        normalized_time: completion_time / time_unit,
-        total_steps: ex.total_steps,
-        messages_sent: ex.messages_sent,
-        deliveries: ex.deliveries,
-        lost_overwrites: ex.lost_overwrites,
-    };
-    Ok((outcome, ex.states, summary))
-}
-
-/// The event record of the churn heap loop — [`Event`] with the
-/// incarnation-stamped [`ChurnKind`].
-#[derive(Clone, Copy, Debug)]
-struct Event2 {
-    time: f64,
-    seq: u64,
-    kind: ChurnKind,
-}
-
-impl PartialEq for Event2 {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl Eq for Event2 {}
-
-impl PartialOrd for Event2 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Event2 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.time
-            .total_cmp(&other.time)
-            .then(self.seq.cmp(&other.seq))
     }
 }
 

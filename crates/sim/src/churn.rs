@@ -392,7 +392,7 @@ fn prepare(plan: &ChurnPlan, base: &Graph, universe: &Graph) -> Result<Prepared,
 /// the (round-sorted) event schedule, patches the port store, and
 /// accumulates the [`ChurnSummary`]. One per run: the churn boundary
 /// hook of the lockstep round pipeline (every schedule, both lockstep
-/// step flavors) and of the async churn loop.
+/// step flavors) and of the async event loop.
 pub(crate) struct ChurnCtl<'p> {
     plan: &'p ChurnPlan,
     /// The plan's events stably sorted by round (insertion order within

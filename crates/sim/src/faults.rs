@@ -19,13 +19,11 @@
 //! * **async** — the event emission site, after the adversary's arrival
 //!   times are fixed: dropped deliveries are never enqueued, corrupted
 //!   ones carry the substituted letter, duplicates are extra
-//!   incarnation-stamped events scheduled FIFO-after the original. The
-//!   decision hash uses the sender's step index as its time coordinate.
-//!   Faulted runs always execute on the binary-heap scheduler (the
-//!   calendar wheel's `DeliverRun` batching assumes one letter per run
-//!   and pairwise-distinct slots, which duplication and corruption
-//!   violate) — the same precedent churn set, and sound because the two
-//!   schedulers are pinned bit-identical.
+//!   incarnation-stamped events scheduled FIFO-after the original, each
+//!   strictly later than the one before on its channel. The decision
+//!   hash uses the sender's step index as its time coordinate. A covered
+//!   sender's deliveries are enqueued one letter each, on whichever
+//!   event queue the run chose.
 //!
 //! Counting semantics: a faulted transmission still counts as *sent* (the
 //! fault is on the channel, not the sender), `Drop` removes the port

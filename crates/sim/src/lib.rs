@@ -52,8 +52,9 @@
 //! The asynchronous executor additionally schedules its events on the
 //! calendar-queue / hierarchical timing wheel of the [`schedule`] module
 //! (O(1) amortized per event instead of the global heap's `O(log m)`),
-//! batching same-arrival-time deliveries per edge; the heap path survives
-//! behind [`SchedulerKind::BinaryHeap`] as a differential oracle.
+//! batching same-arrival-time deliveries; a plain binary heap stays
+//! behind [`SchedulerKind::BinaryHeap`] as the differential oracle of the
+//! same event loop.
 //!
 //! None of this changes semantics. The lockstep loop still applies all
 //! phase-1 transitions against the frozen previous-round ports before any
@@ -103,7 +104,7 @@ pub mod snapshot;
 mod sync_exec;
 
 pub use adversary::Adversary;
-pub use async_exec::{AsyncConfig, AsyncObserver, AsyncOutcome, NoopAsyncObserver, SchedulerKind};
+pub use async_exec::{AsyncConfig, AsyncOutcome, SchedulerKind};
 pub use churn::{
     ChurnOracle, ChurnPlan, ChurnSummary, PatchMode, StabilizationObserver, StabilizationRecord,
 };
@@ -118,9 +119,7 @@ pub use schedule::CalendarQueue;
 pub use scoped::{
     ScopedDelivery, ScopedEmission, ScopedMultiFsm, ScopedOutcome, ScopedTransitions,
 };
-pub use sim::{
-    AdaptAsync, AdaptSync, AsyncOptions, Backend, Cost, Detail, Observer, Outcome, Simulation,
-};
+pub use sim::{AsyncOptions, Backend, Cost, Detail, Observer, Outcome, Simulation};
 pub use snapshot::{
     read_snapshot_file, write_snapshot_file, PersistError, SnapReader, SnapState, SnapWriter,
     Snapshot, SnapshotError, SNAPSHOT_VERSION,
@@ -128,7 +127,7 @@ pub use snapshot::{
 /// Re-export of the representation-independent protocol base trait the
 /// [`Simulation`] builder is generic over.
 pub use stoneage_core::Protocol;
-pub use sync_exec::{NoopObserver, SyncConfig, SyncObserver, SyncOutcome};
+pub use sync_exec::{SyncConfig, SyncOutcome};
 
 /// Why an execution failed to reach an output configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -136,9 +136,9 @@ use crate::faults::{FaultLayer, FaultSummary, FaultsArg};
 use crate::parbuf::{self, ChunkPlan, ChunkScheduler, DeliveryBuffer, RoundMode, ShardPlan};
 use crate::parbuf::{ParallelPolicy, StealStats};
 use crate::scoped::ScopedDelivery;
-use crate::sim::{Bridge, ObsArg};
+use crate::sim::{Bridge, ObsArg, Observer};
 use crate::snapshot::{self, encode_lockstep, LockstepCapture, SnapArgs, SnapPlumb, SnapshotError};
-use crate::sync_exec::{compile_faults, SyncConfig, SyncObserver};
+use crate::sync_exec::{compile_faults, SyncConfig};
 use crate::ExecError;
 
 /// Read access to a frozen plane: the observation surface phase 1 and
@@ -402,7 +402,7 @@ fn close_round<St, O>(
 ) -> bool
 where
     St: RoundStep,
-    O: SyncObserver<St::State>,
+    O: Observer<St::State>,
 {
     if let Some((ctl, inputs)) = churn {
         if ctl.has_pending(round) {
@@ -528,7 +528,7 @@ fn run_serial<St, O>(
 ) -> RoundEnd
 where
     St: RoundStep,
-    O: SyncObserver<St::State>,
+    O: Observer<St::State>,
 {
     let n = states.len();
     let Some((start, mut sent, mut undecided)) =
@@ -755,7 +755,7 @@ where
     St: RoundStep + Sync,
     St::State: Send + Sync,
     St::Witness: Send,
-    O: SyncObserver<St::State>,
+    O: Observer<St::State>,
 {
     let Some((start, mut sent, mut undecided)) =
         begin(step, graph, planes, states, plumb, &mut churn)

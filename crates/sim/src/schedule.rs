@@ -240,16 +240,32 @@ impl<T> CalendarQueue<T> {
 
     /// Pops the globally earliest event by `(time, seq)`.
     pub fn pop(&mut self) -> Option<(f64, u64, T)> {
-        loop {
-            if let Some(Reverse(e)) = self.front.pop() {
-                self.len -= 1;
-                return Some((e.time, e.seq, e.item));
-            }
+        self.load()?;
+        let Reverse(e) = self.front.pop().expect("loaded");
+        self.len -= 1;
+        Some((e.time, e.seq, e.item))
+    }
+
+    /// The globally earliest event by `(time, seq)`, left in the queue.
+    /// Takes `&mut self` because finding it may advance the clock to the
+    /// next occupied tick, as the next [`CalendarQueue::pop`] would; a
+    /// later push before that tick still lands in exact order.
+    pub fn peek(&mut self) -> Option<(f64, &T)> {
+        self.load()?;
+        self.front.peek().map(|Reverse(e)| (e.time, &e.item))
+    }
+
+    /// Advances the clock until the front heap holds the earliest event;
+    /// `None` on an empty queue.
+    #[inline]
+    fn load(&mut self) -> Option<()> {
+        while self.front.is_empty() {
             if self.len == 0 {
                 return None;
             }
             self.advance();
         }
+        Some(())
     }
 
     /// Moves overflow events that now fit under the wheel horizon into

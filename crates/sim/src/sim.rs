@@ -15,10 +15,9 @@
 //!   per-node *states* (which the legacy outcome types discarded), a
 //!   normalized [`Cost`], the worker count the run actually used, and the
 //!   backend-specific extras in [`Detail`].
-//! * **One observer.** [`Observer`] subsumes the legacy
-//!   [`SyncObserver`] / [`AsyncObserver`] pair with default no-op
-//!   hooks; existing observers keep working through the [`AdaptSync`] and
-//!   [`AdaptAsync`] adapters.
+//! * **One observer.** [`Observer`] is the one hook trait of every
+//!   engine, with default no-op hooks: an observer implements only what
+//!   it watches.
 //!
 //! The builder is a *veneer*: it dispatches to the exact engines the
 //! retired `run_*` functions ran, so outcomes are **bit-identical per
@@ -77,10 +76,8 @@ use crate::faults::{FaultPlan, FaultScope, FaultSummary, FaultWire, FaultsArg, L
 use crate::parbuf::{ParallelPolicy, StealStats};
 use crate::scoped::{self, ScopedDelivery, ScopedMultiFsm, ScopedOutcome};
 use crate::snapshot::{self, SnapArgs, SnapMeta, SnapState, Snapshot, SnapshotError, StateCodec};
-use crate::sync_exec::{self, SyncConfig, SyncObserver, SyncOutcome};
-use crate::{
-    async_exec, Adversary, AsyncConfig, AsyncObserver, AsyncOutcome, ExecError, SchedulerKind,
-};
+use crate::sync_exec::{self, SyncConfig, SyncOutcome};
+use crate::{async_exec, Adversary, AsyncConfig, AsyncOutcome, ExecError, SchedulerKind};
 
 /// The normalized run-time of a completed simulation, in the unit native
 /// to the backend that produced it.
@@ -318,9 +315,6 @@ impl<P: Protocol> Outcome<P> {
 
 /// The unified execution observer: one trait over every backend, with
 /// default no-op hooks so an observer implements only what it watches.
-///
-/// Existing [`SyncObserver`] / [`AsyncObserver`] implementations plug in
-/// unchanged through [`AdaptSync`] / [`AdaptAsync`].
 pub trait Observer<S> {
     /// Called by the round-based backends (Sync, Scoped) after round
     /// `round` (1-based) has been applied to all nodes.
@@ -376,57 +370,14 @@ impl<S, O: Observer<S> + ?Sized> Observer<S> for Box<O> {
     }
 }
 
-/// Adapts any legacy [`SyncObserver`] into the
-/// unified [`Observer`] (its `on_step` hook stays a no-op).
-pub struct AdaptSync<O>(pub O);
-
-impl<S, O: SyncObserver<S>> Observer<S> for AdaptSync<O> {
-    fn on_round_end(&mut self, round: u64, states: &[S]) {
-        self.0.on_round_end(round, states);
-    }
-
-    fn on_checkpoint(&mut self, snapshot: &Snapshot) {
-        self.0.on_checkpoint(snapshot);
-    }
-}
-
-/// Adapts any legacy [`AsyncObserver`] into the
-/// unified [`Observer`] (its `on_round_end` hook stays a no-op).
-pub struct AdaptAsync<O>(pub O);
-
-impl<S, O: AsyncObserver<S>> Observer<S> for AdaptAsync<O> {
-    fn on_step(&mut self, time: f64, v: NodeId, t: u64, state: &S) {
-        self.0.on_step(time, v, t, state);
-    }
-
-    fn on_checkpoint(&mut self, snapshot: &Snapshot) {
-        self.0.on_checkpoint(snapshot);
-    }
-}
-
-/// Bridges the unified observer back onto the engines' legacy hook
-/// traits, so the engines stay monomorphized over one observer shape.
-/// Without an attached observer every hook is a no-op.
+/// The lockstep engines' view of an optional attached observer: every
+/// hook forwards when one is attached and is a no-op otherwise.
 pub(crate) struct Bridge<'a, S>(pub(crate) ObsArg<'a, S>);
 
-impl<S> SyncObserver<S> for Bridge<'_, S> {
+impl<S> Observer<S> for Bridge<'_, S> {
     fn on_round_end(&mut self, round: u64, states: &[S]) {
         if let Some(o) = &mut self.0 {
             o.on_round_end(round, states);
-        }
-    }
-
-    fn on_checkpoint(&mut self, snapshot: &Snapshot) {
-        if let Some(o) = &mut self.0 {
-            o.on_checkpoint(snapshot);
-        }
-    }
-}
-
-impl<S> AsyncObserver<S> for Bridge<'_, S> {
-    fn on_step(&mut self, time: f64, v: NodeId, t: u64, state: &S) {
-        if let Some(o) = &mut self.0 {
-            o.on_step(time, v, t, state);
         }
     }
 
@@ -444,7 +395,8 @@ pub struct AsyncOptions<'a> {
     /// The oblivious scheduling policy choosing every step length
     /// `L_{v,t}` and delivery delay `D_{v,t,u}`.
     pub adversary: &'a dyn Adversary,
-    /// Event queue driving the run. Outcomes are bit-identical across
+    /// Event queue driving the run, churned, faulted and resumed runs
+    /// included. Outcomes and checkpoint frames are bit-identical across
     /// kinds; only throughput differs.
     pub scheduler: SchedulerKind,
     /// Explicit calendar bucket width overriding the executor's estimate
@@ -722,8 +674,7 @@ impl<'g, P: Protocol> Simulation<'g, P> {
     }
 
     /// Attaches the unified [`Observer`]. Round-based backends fire
-    /// `on_round_end`; the Async backend fires `on_step`. Wrap legacy
-    /// observers in [`AdaptSync`] / [`AdaptAsync`].
+    /// `on_round_end`; the Async backend fires `on_step`.
     pub fn observe(mut self, observer: &'g mut (dyn Observer<P::State> + 'g)) -> Self {
         self.observer = Some(observer);
         self
@@ -759,11 +710,6 @@ impl<'g, P: Protocol> Simulation<'g, P> {
     /// counts are reported through [`Outcome::faults`]. An invalid plan
     /// (bad rate, out-of-range node or letter, rule on a non-edge) is a
     /// typed [`ExecError::Config`] from [`run`](Self::run).
-    ///
-    /// On the Async backend a fault plan forces the binary-heap
-    /// scheduler: duplicate copies break the calendar wheel's
-    /// one-letter-per-run batching invariant, and outcomes must not
-    /// depend on the scheduler knob.
     pub fn with_faults(mut self, plan: &'g FaultPlan) -> Self {
         self.faults = Some(plan);
         self

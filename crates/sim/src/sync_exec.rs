@@ -37,7 +37,7 @@ use crate::parbuf::{ParallelPolicy, StealStats};
 use crate::pipeline::{self, DeliverySink, PortRead, RoundStep};
 use crate::scoped::ScopedDelivery;
 use crate::sim::{ObsArg, RowResult};
-use crate::snapshot::{SnapArgs, Snapshot};
+use crate::snapshot::SnapArgs;
 use crate::{splitmix64, ExecError};
 
 /// Configuration of a synchronous execution.
@@ -78,38 +78,6 @@ pub struct SyncOutcome {
     pub rounds: u64,
     /// Total non-`ε` transmissions.
     pub messages_sent: u64,
-}
-
-/// Hook invoked by the synchronous executor at the end of every round,
-/// with the full post-round state vector. Used by the analysis
-/// experiments (tournament lengths, edge decay) to instrument protocols
-/// from outside. Subsumed by the unified [`crate::sim::Observer`]; kept
-/// so existing observers keep compiling (adapt them with
-/// [`crate::sim::AdaptSync`]).
-pub trait SyncObserver<S> {
-    /// Called after round `round` (1-based) has been applied to all nodes.
-    fn on_round_end(&mut self, round: u64, states: &[S]);
-
-    /// Called with every boundary checkpoint the run takes (the
-    /// [`crate::Simulation::checkpoint_every`] cadence). Default: ignore.
-    fn on_checkpoint(&mut self, _snapshot: &Snapshot) {}
-}
-
-impl<S, O: SyncObserver<S> + ?Sized> SyncObserver<S> for &mut O {
-    fn on_round_end(&mut self, round: u64, states: &[S]) {
-        (**self).on_round_end(round, states);
-    }
-    fn on_checkpoint(&mut self, snapshot: &Snapshot) {
-        (**self).on_checkpoint(snapshot);
-    }
-}
-
-/// An observer that does nothing.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopObserver;
-
-impl<S> SyncObserver<S> for NoopObserver {
-    fn on_round_end(&mut self, _round: u64, _states: &[S]) {}
 }
 
 /// The per-node RNG streams: a pure function of `(seed, node id)`, shared
@@ -252,7 +220,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::{AdaptSync, Simulation};
+    use crate::sim::{Observer, Simulation};
     use stoneage_core::{Alphabet, AsMulti, TableProtocol, TableProtocolBuilder, Transitions};
     use stoneage_graph::generators;
 
@@ -308,14 +276,13 @@ mod tests {
     where
         P: MultiFsm + Sync,
         P::State: Send + Sync,
-        O: SyncObserver<P::State>,
+        O: Observer<P::State>,
     {
-        let mut adapter = AdaptSync(observer);
         Simulation::sync(protocol, graph)
             .seed(config.seed)
             .budget(config.max_rounds)
             .inputs(inputs)
-            .observe(&mut adapter)
+            .observe(observer)
             .run()
             .map(|o| o.into_sync_outcome().expect("sync backend"))
     }
@@ -457,7 +424,7 @@ mod tests {
     #[test]
     fn observer_sees_every_round() {
         struct Counter(u64);
-        impl<S> SyncObserver<S> for Counter {
+        impl<S> Observer<S> for Counter {
             fn on_round_end(&mut self, round: u64, _states: &[S]) {
                 self.0 = round;
             }

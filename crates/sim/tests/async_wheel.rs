@@ -8,8 +8,8 @@
 //! preserved [`SchedulerKind::BinaryHeap`] path — across graph families,
 //! adversary policies (including latency schedules that collide many
 //! arrivals into one bucket), protocols, event budgets, and bucket
-//! widths. Pinned fingerprints on gnp/tree/grid additionally guard both
-//! paths against silent drift.
+//! widths, and under churn and fault plans. Pinned fingerprints on
+//! gnp/tree/grid additionally guard both paths against silent drift.
 //!
 //! The protocol builders, fnv1a hash, and pinned case instances live in
 //! `stoneage-testkit` (shared with `tests/flat_engine.rs` and the
@@ -23,7 +23,10 @@
 use proptest::prelude::*;
 use stoneage_core::Synchronized;
 use stoneage_graph::{generators, Graph, NodeId};
-use stoneage_sim::{Adversary, AsyncConfig, AsyncOutcome, ExecError, SchedulerKind};
+use stoneage_sim::{
+    Adversary, AsyncConfig, AsyncOptions, AsyncOutcome, Backend, ChurnPlan, ExecError, FaultPlan,
+    SchedulerKind, Simulation,
+};
 use stoneage_testkit::harness::run_async;
 use stoneage_testkit::{
     async_fingerprint, count_neighbors_quiet as count_neighbors, random_beeper, run_async_pinned,
@@ -264,7 +267,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Differential property: on arbitrary gnp instances, adversaries,
-    /// and seeds, the wheel and heap schedulers agree bit-exactly.
+    /// and seeds — with an optional random churn plan and an optional
+    /// duplicating fault plan — the wheel and heap schedulers agree
+    /// bit-exactly, down to the churn and fault summaries (or the same
+    /// typed error, should a plan wedge the synchronizer).
     #[test]
     fn wheel_matches_heap_on_random_instances(
         n in 1usize..50,
@@ -272,16 +278,28 @@ proptest! {
         gseed in 0u64..300,
         seed in 0u64..300,
         mean in 0.05f64..2.0,
+        churn_events in 0usize..8,
+        dup_rate in 0.0f64..0.4,
+        faulted in 0u8..2,
     ) {
         let g = generators::gnp(n, pr, gseed);
         let p = Synchronized::new(random_beeper(3, 2));
         let adv = stoneage_sim::adversary::Exponential { seed, mean };
-        let heap = run_async(&p, &g, &adv, &heap_cfg(seed)).unwrap();
-        let wheel = run_async(&p, &g, &adv, &wheel_cfg(seed)).unwrap();
-        prop_assert_eq!(wheel.outputs, heap.outputs);
-        prop_assert_eq!(wheel.completion_time.to_bits(), heap.completion_time.to_bits());
-        prop_assert_eq!(wheel.total_steps, heap.total_steps);
-        prop_assert_eq!(wheel.deliveries, heap.deliveries);
-        prop_assert_eq!(wheel.lost_overwrites, heap.lost_overwrites);
+        let churn = (churn_events > 0).then(|| ChurnPlan::random(&g, seed ^ 0xC4, churn_events, 6));
+        let faults = (faulted == 1).then(|| FaultPlan::new(seed).duplicate_rate(dup_rate, 1));
+        let run = |scheduler| {
+            let mut b = Simulation::asynchronous(&p, &g, &adv)
+                .seed(seed)
+                .budget(2_000_000)
+                .backend(Backend::Async(AsyncOptions::new(&adv).with_scheduler(scheduler)));
+            if let Some(plan) = &churn {
+                b = b.with_churn(plan);
+            }
+            if let Some(plan) = &faults {
+                b = b.with_faults(plan);
+            }
+            b.run().map(|o| format!("{:?} | {:?} | {:?}", o.outputs, o.cost, o.detail))
+        };
+        prop_assert_eq!(run(SchedulerKind::CalendarWheel), run(SchedulerKind::BinaryHeap));
     }
 }

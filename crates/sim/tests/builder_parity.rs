@@ -17,9 +17,7 @@ use proptest::prelude::*;
 use stoneage_core::{AsMulti, Synchronized};
 use stoneage_graph::{generators, Graph};
 use stoneage_sim::adversary::{standard_panel, UniformRandom};
-use stoneage_sim::{
-    AsyncOptions, Backend, Cost, ExecError, SchedulerKind, Simulation, SyncObserver,
-};
+use stoneage_sim::{AsyncOptions, Backend, Cost, ExecError, Observer, SchedulerKind, Simulation};
 use stoneage_testkit::{
     async_fingerprint, count_neighbors, count_neighbors_quiet, fnv1a, random_beeper,
     scoped_fingerprint, sync_fingerprint, Poke,
@@ -83,7 +81,7 @@ fn sync_builder_reproduces_legacy_pinned_fingerprints() {
 /// A counting observer shared by the observed and unobserved runs.
 struct LastRound(u64);
 
-impl<S> SyncObserver<S> for LastRound {
+impl<S> Observer<S> for LastRound {
     fn on_round_end(&mut self, round: u64, _states: &[S]) {
         self.0 = round;
     }
@@ -103,7 +101,7 @@ fn observed_runs_agree_and_fire_identically() {
         .into_sync_outcome()
         .unwrap();
 
-    let mut built_obs = stoneage_sim::AdaptSync(LastRound(0));
+    let mut built_obs = LastRound(0);
     let built = Simulation::sync(&p, &g)
         .seed(11)
         .inputs(&inputs)
@@ -118,7 +116,7 @@ fn observed_runs_agree_and_fire_identically() {
         sync_fingerprint(&built),
         "attaching an observer must not perturb the run"
     );
-    assert_eq!(built_obs.0 .0, built.rounds, "observer saw every round");
+    assert_eq!(built_obs.0, built.rounds, "observer saw every round");
 }
 
 /// Combined fingerprint over (graph family × standard adversary panel)

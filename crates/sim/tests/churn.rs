@@ -15,20 +15,29 @@
 //!    frozen-read-plane argument intact — see the `churn` module docs).
 //! 3. **Empty plan ≡ churn-free engine.** `with_churn(&ChurnPlan::new())`
 //!    is bit-identical to not calling `with_churn` at all, on all three
-//!    backends and (under `parallel`) on every lockstep schedule — the
-//!    empty plan is the no-op boundary hook of the one round pipeline.
+//!    backends, on both async event queues, and (under `parallel`) on
+//!    every lockstep schedule — the empty plan is the no-op boundary hook
+//!    of the one round pipeline and of the one event loop.
 //! 4. **Pinned fingerprints.** A recorded churn panel guards against
 //!    silent drift, exactly like the churn-free pinned panels.
 
 use proptest::prelude::*;
-use stoneage_core::{AsMulti, Synchronized};
-use stoneage_graph::{generators, Graph, TopologyEvent};
+use stoneage_core::{
+    Alphabet, AsMulti, Letter, Synchronized, TableProtocol, TableProtocolBuilder, Transitions,
+};
+use stoneage_graph::{generators, Graph, NodeId, TopologyEvent};
 use stoneage_sim::adversary::UniformRandom;
-use stoneage_sim::{ChurnPlan, ChurnSummary, PatchMode, ScopedOutcome, Simulation, SyncOutcome};
+use stoneage_sim::{
+    AsyncOptions, AsyncOutcome, Backend, ChurnPlan, ChurnSummary, Observer, PatchMode,
+    SchedulerKind, ScopedOutcome, Simulation, SyncOutcome,
+};
 use stoneage_testkit::{
     async_fingerprint, churn_fingerprint, count_neighbors, count_neighbors_quiet, random_beeper,
     run_churn_pinned, scoped_fingerprint, sync_fingerprint, Poke, CHURN_PINNED_CASES,
 };
+
+/// Both async event queues; every async contract holds on each.
+const SCHEDULERS: [SchedulerKind; 2] = [SchedulerKind::CalendarWheel, SchedulerKind::BinaryHeap];
 
 fn graph_family() -> Vec<(&'static str, Graph)> {
     vec![
@@ -132,9 +141,9 @@ fn scoped_incremental_patch_matches_oracle_rebuild() {
     }
 }
 
-/// Contract 1 on the asynchronous backend (heap-driven): the patched
-/// event loop matches the oracle rebuild on every counter and the exact
-/// completion-time bits.
+/// Contract 1 on the asynchronous backend, on both event queues: the
+/// patched event loop matches the oracle rebuild on every counter and
+/// the exact completion-time bits, and the wheel matches the heap.
 #[test]
 fn async_incremental_patch_matches_oracle_rebuild() {
     let p = Synchronized::new(count_neighbors_quiet(2));
@@ -142,26 +151,26 @@ fn async_incremental_patch_matches_oracle_rebuild() {
         let adv = UniformRandom { seed: 13 };
         for seed in 0..3 {
             let plan = plan_for(&g, 500 + seed);
-            let run = |plan: &ChurnPlan| {
+            let run = |plan: &ChurnPlan, scheduler| {
                 let outcome = Simulation::asynchronous(&p, &g, &adv)
                     .seed(seed)
+                    .backend(Backend::Async(
+                        AsyncOptions::new(&adv).with_scheduler(scheduler),
+                    ))
                     .with_churn(plan)
                     .run()
                     .expect("churn runs terminate");
                 let summary = outcome.churn().expect("plan was set").clone();
-                (
-                    outcome.into_async_outcome().expect("async backend"),
-                    summary,
-                )
+                let out = outcome.into_async_outcome().expect("async backend");
+                (async_fingerprint(&out), summary)
             };
-            let (a, sa) = run(&plan.clone().with_mode(PatchMode::Incremental));
-            let (b, sb) = run(&plan.clone().with_mode(PatchMode::Rebuild));
-            assert_eq!(
-                async_fingerprint(&a),
-                async_fingerprint(&b),
-                "{name}/seed{seed}"
-            );
-            assert_eq!(sa, sb, "{name}/seed{seed}: summaries");
+            let want = run(&plan, SchedulerKind::BinaryHeap);
+            for scheduler in SCHEDULERS {
+                for mode in [PatchMode::Incremental, PatchMode::Rebuild] {
+                    let got = run(&plan.clone().with_mode(mode), scheduler);
+                    assert_eq!(got, want, "{name}/seed{seed}/{scheduler:?}/{mode:?}");
+                }
+            }
         }
     }
 }
@@ -206,30 +215,136 @@ fn empty_plan_is_bit_identical_to_churn_free_engine() {
             "{name}: scoped"
         );
 
-        let async_p = Synchronized::new(count_neighbors_quiet(2));
         let adv = UniformRandom { seed: 5 };
-        let with = Simulation::asynchronous(&async_p, &g, &adv)
-            .seed(7)
-            .with_churn(&empty)
-            .run()
-            .unwrap()
-            .into_async_outcome()
-            .unwrap();
-        let without = Simulation::asynchronous(&async_p, &g, &adv)
-            .seed(7)
-            .backend(stoneage_sim::Backend::Async(
-                stoneage_sim::AsyncOptions::new(&adv)
-                    .with_scheduler(stoneage_sim::SchedulerKind::BinaryHeap),
-            ))
-            .run()
-            .unwrap()
-            .into_async_outcome()
-            .unwrap();
-        assert_eq!(
-            async_fingerprint(&with),
-            async_fingerprint(&without),
-            "{name}: async (vs heap scheduler)"
-        );
+        let counting = Synchronized::new(count_neighbors_quiet(2));
+        let decided = Synchronized::new(decided_at_start());
+        for scheduler in SCHEDULERS {
+            let run = |p: &Synchronized<TableProtocol>, plan: Option<&ChurnPlan>| {
+                let mut b = Simulation::asynchronous(p, &g, &adv)
+                    .seed(7)
+                    .backend(Backend::Async(
+                        AsyncOptions::new(&adv).with_scheduler(scheduler),
+                    ));
+                if let Some(plan) = plan {
+                    b = b.with_churn(plan);
+                }
+                b.run().unwrap().into_async_outcome().unwrap()
+            };
+            for (pname, p) in [("counting", &counting), ("decided", &decided)] {
+                let (with, without) = (run(p, Some(&empty)), run(p, None));
+                assert_eq!(
+                    async_fingerprint(&with),
+                    async_fingerprint(&without),
+                    "{name}/{pname}: async on {scheduler:?}"
+                );
+            }
+            let done = run(&decided, Some(&empty));
+            assert_eq!(
+                (done.total_steps, done.completion_time),
+                (0, 0.0),
+                "{name}: decided at start"
+            );
+        }
+    }
+}
+
+/// A protocol whose every node is decided before its first step.
+fn decided_at_start() -> TableProtocol {
+    let mut b = TableProtocolBuilder::new("done", Alphabet::new(["x"]), 1, Letter(0));
+    let done = b.add_output_state("done", Letter(0), 4);
+    b.add_input_state(done);
+    b.set_transition_all(done, Transitions::det(done, None));
+    b.build().unwrap()
+}
+
+/// Records the time of every async step, in the order the engine
+/// applies them.
+#[derive(Default)]
+struct StepTimes(Vec<f64>);
+
+impl<S> Observer<S> for StepTimes {
+    fn on_step(&mut self, time: f64, _v: NodeId, _t: u64, _state: &S) {
+        self.0.push(time);
+    }
+}
+
+/// The first step applied before its predecessor's time, as `(index,
+/// time, predecessor's time)`.
+fn out_of_order(times: &[f64]) -> Option<(usize, f64, f64)> {
+    let i = times.windows(2).position(|w| w[0] > w[1])?;
+    Some((i + 1, times[i + 1], times[i]))
+}
+
+/// One async churn run on the chosen scheduler, with its step times.
+fn run_async_churn(
+    g: &Graph,
+    adv: &UniformRandom,
+    seed: u64,
+    plan: &ChurnPlan,
+    scheduler: SchedulerKind,
+) -> (AsyncOutcome, Vec<f64>) {
+    let p = Synchronized::new(count_neighbors_quiet(2));
+    let mut times = StepTimes::default();
+    let outcome = Simulation::asynchronous(&p, g, adv)
+        .seed(seed)
+        .backend(Backend::Async(
+            AsyncOptions::new(adv).with_scheduler(scheduler),
+        ))
+        .with_churn(plan)
+        .observe(&mut times)
+        .run()
+        .expect("churn runs terminate");
+    (
+        outcome.into_async_outcome().expect("async backend"),
+        times.0,
+    )
+}
+
+/// Both nodes of an edge crash, so the event queue drains; then a
+/// restart must seed the reborn node's first step, or a no-op event
+/// must end the run. Each plan completes with the outputs the lockstep
+/// backend reaches under it.
+#[test]
+fn async_boundaries_on_a_drained_queue_complete() {
+    use stoneage_sim::churn::DEAD_OUTPUT;
+    let g = generators::path(2);
+    let both = ChurnPlan::new()
+        .at(1, TopologyEvent::Crash(0))
+        .at(1, TopologyEvent::Crash(1));
+    let restart = both.clone().at(3, TopologyEvent::Restart(0));
+    let no_op = both.at(3, TopologyEvent::Crash(0));
+    let adv = UniformRandom { seed: 3 };
+    for (plan, want) in [
+        (restart, vec![1, DEAD_OUTPUT]),
+        (no_op, vec![DEAD_OUTPUT, DEAD_OUTPUT]),
+    ] {
+        let (sync_out, _) = run_sync_churn(&AsMulti(count_neighbors_quiet(2)), &g, 0, &plan);
+        assert_eq!(sync_out.outputs, want, "sync");
+        for scheduler in SCHEDULERS {
+            let (out, times) = run_async_churn(&g, &adv, 0, &plan, scheduler);
+            assert_eq!(out.outputs, want, "{scheduler:?}");
+            assert_eq!(out_of_order(&times), None, "{scheduler:?}");
+        }
+    }
+}
+
+/// A restart boundary schedules the reborn node's first step, which may
+/// fall before the next queued event: the engine must apply it first.
+/// Every `on_step` time sequence is nondecreasing.
+#[test]
+fn async_steps_stay_in_time_order_across_restarts() {
+    let g = generators::path(2);
+    for r in 1..6 {
+        let plan = ChurnPlan::new()
+            .at(r, TopologyEvent::Crash(0))
+            .at(r + 1, TopologyEvent::Restart(0));
+        for seed in 0..20 {
+            let adv = UniformRandom { seed };
+            for scheduler in SCHEDULERS {
+                let (_, times) = run_async_churn(&g, &adv, seed, &plan, scheduler);
+                assert_eq!(out_of_order(&times), None, "r{r}/seed{seed}/{scheduler:?}");
+            }
+        }
     }
 }
 

@@ -10,7 +10,8 @@
 //!    (`parallel` feature), and a double run is bit-identical.
 //! 2. **Empty plan ≡ fault-free engine.** Wiring in a rule-less plan is
 //!    bit-identical to not calling `with_faults` at all on all three
-//!    backends, and reports an all-zero summary.
+//!    backends and both async event queues, and reports an all-zero
+//!    summary.
 //! 3. **Rate-1 rules have exact closed-form effects.** `drop_rate(1.0)`
 //!    silences every channel; `corrupt_rate(1.0, l)` rewrites every
 //!    delivery; `duplicate_rate(1.0, k)` multiplies every observed count
@@ -34,6 +35,9 @@ use stoneage_testkit::{
     async_fingerprint, count_neighbors, count_neighbors_quiet, fault_fingerprint, random_beeper,
     run_fault_pinned, scoped_fingerprint, sync_fingerprint, Poke, FAULT_PINNED_CASES,
 };
+
+/// Both async event queues; every async contract holds on each.
+const SCHEDULERS: [SchedulerKind; 2] = [SchedulerKind::CalendarWheel, SchedulerKind::BinaryHeap];
 
 fn graph_family() -> Vec<(&'static str, Graph)> {
     vec![
@@ -130,32 +134,26 @@ fn empty_plan_is_bit_identical_to_fault_free_engine() {
             "{name}: scoped"
         );
 
-        // A wired plan forces the heap scheduler, so the fault-free
-        // reference is the explicit heap backend (heap ≡ wheel is the
-        // async suite's own contract).
         let async_p = Synchronized::new(count_neighbors_quiet(2));
         let adv = UniformRandom { seed: 5 };
-        let with = Simulation::asynchronous(&async_p, &g, &adv)
-            .seed(7)
-            .with_faults(&empty)
-            .run()
-            .unwrap()
-            .into_async_outcome()
-            .unwrap();
-        let without = Simulation::asynchronous(&async_p, &g, &adv)
-            .seed(7)
-            .backend(Backend::Async(
-                AsyncOptions::new(&adv).with_scheduler(SchedulerKind::BinaryHeap),
-            ))
-            .run()
-            .unwrap()
-            .into_async_outcome()
-            .unwrap();
-        assert_eq!(
-            async_fingerprint(&with),
-            async_fingerprint(&without),
-            "{name}: async (vs heap scheduler)"
-        );
+        for scheduler in SCHEDULERS {
+            let run = |plan: Option<&FaultPlan>| {
+                let mut b = Simulation::asynchronous(&async_p, &g, &adv)
+                    .seed(7)
+                    .backend(Backend::Async(
+                        AsyncOptions::new(&adv).with_scheduler(scheduler),
+                    ));
+                if let Some(plan) = plan {
+                    b = b.with_faults(plan);
+                }
+                b.run().unwrap().into_async_outcome().unwrap()
+            };
+            assert_eq!(
+                async_fingerprint(&run(Some(&empty))),
+                async_fingerprint(&run(None)),
+                "{name}: async on {scheduler:?}"
+            );
+        }
     }
 }
 
@@ -250,24 +248,29 @@ fn faults_compose_with_churn_deterministically() {
         let async_p = Synchronized::new(count_neighbors_quiet(2));
         let adv = UniformRandom { seed: 17 };
         let aplan = async_plan_for(&g, 2000);
-        let run = || {
+        let run = |scheduler| {
             let outcome = Simulation::asynchronous(&async_p, &g, &adv)
                 .seed(5)
+                .backend(Backend::Async(
+                    AsyncOptions::new(&adv).with_scheduler(scheduler),
+                ))
                 .with_churn(&churn)
                 .with_faults(&aplan)
                 .run()
                 .expect("terminates");
+            let cs = outcome.churn().expect("churn set").clone();
             let fs = *outcome.faults().expect("faults set");
-            (outcome.into_async_outcome().unwrap(), fs)
+            (
+                async_fingerprint(&outcome.into_async_outcome().unwrap()),
+                cs,
+                fs,
+            )
         };
-        let (a, fa) = run();
-        let (b, fb) = run();
-        assert_eq!(
-            async_fingerprint(&a),
-            async_fingerprint(&b),
-            "{name}: async"
-        );
-        assert_eq!(fa, fb, "{name}: async fault summaries");
+        let want = run(SchedulerKind::BinaryHeap);
+        assert!(want.2.injected() > 0, "{name}: async plan never fired");
+        for scheduler in SCHEDULERS {
+            assert_eq!(run(scheduler), want, "{name}: async on {scheduler:?}");
+        }
     }
 }
 
@@ -371,9 +374,6 @@ fn async_fault_kinds_have_model_level_effects() {
     let dup = outcome.into_async_outcome().unwrap();
     let clean = Simulation::asynchronous(&p, &g, &adv)
         .seed(0)
-        .backend(Backend::Async(
-            AsyncOptions::new(&adv).with_scheduler(SchedulerKind::BinaryHeap),
-        ))
         .run()
         .unwrap()
         .into_async_outcome()

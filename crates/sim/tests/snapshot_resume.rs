@@ -11,7 +11,10 @@
 //! 2. **Checkpointing is free.** Attaching a cadence must not perturb
 //!    the run it observes, and the observer hook never fires without
 //!    one.
-//! 3. **Rejection is typed.** A snapshot from the wrong graph,
+//! 3. **Frames are queue-independent.** The two async event queues
+//!    capture byte-equal frames, and a frame taken on one resumes on
+//!    the other.
+//! 4. **Rejection is typed.** A snapshot from the wrong graph,
 //!    protocol, backend, or configuration is a typed
 //!    [`ExecError::Snapshot`]; corrupted or truncated bytes are a typed
 //!    [`SnapshotError`]. Never a panic, never a silently divergent run.
@@ -21,8 +24,8 @@ use stoneage_core::{AsMulti, Protocol, Synchronized, TableProtocol};
 use stoneage_graph::{generators, Graph, TopologyEvent};
 use stoneage_sim::adversary::UniformRandom;
 use stoneage_sim::{
-    AsyncOptions, Backend, ChurnPlan, ExecError, Observer, Outcome, SchedulerKind, Simulation,
-    Snapshot, SnapshotError,
+    AsyncOptions, Backend, ChurnPlan, ExecError, FaultPlan, Observer, Outcome, SchedulerKind,
+    Simulation, Snapshot, SnapshotError,
 };
 #[cfg(feature = "parallel")]
 use stoneage_sim::{MergeStrategy, ParallelPolicy, RoundMode};
@@ -273,6 +276,57 @@ fn async_resume_is_bit_identical_on_both_schedulers() {
                 }
             );
         }
+    }
+}
+
+/// Under churn and faults, the two event queues capture byte-equal
+/// frames at every boundary, and a frame captured on either queue
+/// resumes on the other to the uninterrupted transcript.
+#[test]
+fn async_frames_cross_schedulers_under_churn_and_faults() {
+    use SchedulerKind::{BinaryHeap, CalendarWheel};
+    let p = Synchronized::new(count_neighbors_quiet(2));
+    let g = generators::gnp(40, 0.1, 3);
+    let adv = UniformRandom { seed: 11 };
+    let plan = plan_for(&g, 2);
+    let faults = FaultPlan::new(6).duplicate_rate(0.2, 2);
+    let full = mk_async(&p, &g, &adv, 5, BinaryHeap, Some(&plan))
+        .with_faults(&faults)
+        .run()
+        .expect("terminates");
+    let want = transcript(&full);
+    let steps = full.into_async_outcome().expect("async").total_steps;
+    let frames = |scheduler: SchedulerKind| {
+        let mut obs = Collect::default();
+        let out = mk_async(&p, &g, &adv, 5, scheduler, Some(&plan))
+            .with_faults(&faults)
+            .checkpoint_every((steps / 4).max(1))
+            .observe(&mut obs)
+            .run()
+            .expect("terminates");
+        assert_eq!(transcript(&out), want, "{scheduler:?}: checkpointing");
+        obs.snaps
+    };
+    let (wheel, heap) = (frames(CalendarWheel), frames(BinaryHeap));
+    assert!(!wheel.is_empty(), "the cadence captured frames");
+    let bytes = |snaps: &[Snapshot]| snaps.iter().map(Snapshot::to_bytes).collect::<Vec<_>>();
+    assert_eq!(bytes(&wheel), bytes(&heap), "frames differ across queues");
+    for (snap, scheduler) in wheel
+        .iter()
+        .map(|s| (s, BinaryHeap))
+        .chain(heap.iter().map(|s| (s, CalendarWheel)))
+    {
+        let resumed = mk_async(&p, &g, &adv, 5, scheduler, Some(&plan))
+            .with_faults(&faults)
+            .resume_from(snap)
+            .run()
+            .expect("resume terminates");
+        assert_eq!(
+            transcript(&resumed),
+            want,
+            "resume on {scheduler:?} at boundary {} diverged",
+            snap.boundary()
+        );
     }
 }
 
