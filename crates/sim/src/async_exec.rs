@@ -86,7 +86,7 @@ use crate::churn::{plan_config, ChurnCtl, ChurnPlan, DEAD_OUTPUT};
 use crate::engine::{FlatPorts, TOMBSTONE};
 use crate::faults::{faulted_sends, FaultLayer, FaultSummary, FaultsArg};
 use crate::schedule::CalendarQueue;
-use crate::sim::{ObsArg, Observer, RowResult};
+use crate::sim::{ObsArg, Observer, Quiet, RowResult};
 use crate::snapshot::{self, AsyncCapture, BacklogEvent, BacklogKind, SnapArgs, SnapshotError};
 use crate::sync_exec::compile_faults;
 use crate::{splitmix64, Adversary, ExecError};
@@ -315,12 +315,6 @@ impl EventQueue for Heap {
         self.0.iter().map(|Reverse(e)| (e.time, e.seq, e.ev))
     }
 }
-
-/// The observer of observer-free runs: every hook is the trait's no-op
-/// default, so the event loop compiles the per-step call away.
-struct Quiet;
-
-impl<S> Observer<S> for Quiet {}
 
 /// The execution state of a run: everything except the event queue.
 struct Exec<'a, P: Fsm> {

@@ -136,7 +136,7 @@ use crate::faults::{FaultLayer, FaultSummary, FaultsArg};
 use crate::parbuf::{self, ChunkPlan, ChunkScheduler, DeliveryBuffer, RoundMode, ShardPlan};
 use crate::parbuf::{ParallelPolicy, StealStats};
 use crate::scoped::ScopedDelivery;
-use crate::sim::{Bridge, ObsArg, Observer};
+use crate::sim::{ObsArg, Observer, Quiet};
 use crate::snapshot::{self, encode_lockstep, LockstepCapture, SnapArgs, SnapPlumb, SnapshotError};
 use crate::sync_exec::{compile_faults, SyncConfig};
 use crate::ExecError;
@@ -402,7 +402,7 @@ fn close_round<St, O>(
 ) -> bool
 where
     St: RoundStep,
-    O: Observer<St::State>,
+    O: Observer<St::State> + ?Sized,
 {
     if let Some((ctl, inputs)) = churn {
         if ctl.has_pending(round) {
@@ -528,7 +528,7 @@ fn run_serial<St, O>(
 ) -> RoundEnd
 where
     St: RoundStep,
-    O: Observer<St::State>,
+    O: Observer<St::State> + ?Sized,
 {
     let n = states.len();
     let Some((start, mut sent, mut undecided)) =
@@ -755,7 +755,7 @@ where
     St: RoundStep + Sync,
     St::State: Send + Sync,
     St::Witness: Send,
-    O: Observer<St::State>,
+    O: Observer<St::State> + ?Sized,
 {
     let Some((start, mut sent, mut undecided)) =
         begin(step, graph, planes, states, plumb, &mut churn)
@@ -1320,7 +1320,11 @@ where
     )?;
     let mut layer = FaultLayer::new(fctx.as_ref(), tally);
     let churn = ctl.as_mut().map(|ctl| (ctl, inputs));
-    let mut observer = Bridge(observer);
+    let mut quiet = Quiet;
+    let observer: &mut dyn Observer<P::State> = match observer {
+        Some(o) => o,
+        None => &mut quiet,
+    };
     let end = match policy {
         #[cfg(feature = "parallel")]
         Some(policy) => run_parallel(
@@ -1331,7 +1335,7 @@ where
             &mut rngs,
             policy,
             config.max_rounds,
-            &mut observer,
+            observer,
             &mut witness,
             &plumb,
             &mut layer,
@@ -1345,7 +1349,7 @@ where
             &mut states,
             &mut rngs,
             config.max_rounds,
-            &mut observer,
+            observer,
             &mut witness,
             &plumb,
             &mut layer,

@@ -370,23 +370,13 @@ impl<S, O: Observer<S> + ?Sized> Observer<S> for Box<O> {
     }
 }
 
-/// The lockstep engines' view of an optional attached observer: every
-/// hook forwards when one is attached and is a no-op otherwise.
-pub(crate) struct Bridge<'a, S>(pub(crate) ObsArg<'a, S>);
+/// The observer of observer-free runs: every hook is the trait's no-op
+/// default. The async event loop is monomorphized over it so the
+/// per-step call compiles away; the lockstep loops, which call their
+/// observer once per round, take it behind `dyn`.
+pub(crate) struct Quiet;
 
-impl<S> Observer<S> for Bridge<'_, S> {
-    fn on_round_end(&mut self, round: u64, states: &[S]) {
-        if let Some(o) = &mut self.0 {
-            o.on_round_end(round, states);
-        }
-    }
-
-    fn on_checkpoint(&mut self, snapshot: &Snapshot) {
-        if let Some(o) = &mut self.0 {
-            o.on_checkpoint(snapshot);
-        }
-    }
-}
+impl<S> Observer<S> for Quiet {}
 
 /// Options of the asynchronous backend: the oblivious adversary plus the
 /// scheduler knobs of the legacy [`AsyncConfig`].

@@ -267,12 +267,34 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Differential property: on arbitrary gnp instances, adversaries,
-    /// and seeds — with an optional random churn plan and an optional
-    /// duplicating fault plan — the wheel and heap schedulers agree
-    /// bit-exactly, down to the churn and fault summaries (or the same
-    /// typed error, should a plan wedge the synchronizer).
+    /// and seeds, the wheel and heap schedulers agree bit-exactly.
     #[test]
     fn wheel_matches_heap_on_random_instances(
+        n in 1usize..50,
+        pr in 0.0f64..0.35,
+        gseed in 0u64..300,
+        seed in 0u64..300,
+        mean in 0.05f64..2.0,
+    ) {
+        let g = generators::gnp(n, pr, gseed);
+        let p = Synchronized::new(random_beeper(3, 2));
+        let adv = stoneage_sim::adversary::Exponential { seed, mean };
+        let heap = run_async(&p, &g, &adv, &heap_cfg(seed)).unwrap();
+        let wheel = run_async(&p, &g, &adv, &wheel_cfg(seed)).unwrap();
+        prop_assert_eq!(wheel.outputs, heap.outputs);
+        prop_assert_eq!(wheel.completion_time.to_bits(), heap.completion_time.to_bits());
+        prop_assert_eq!(wheel.total_steps, heap.total_steps);
+        prop_assert_eq!(wheel.deliveries, heap.deliveries);
+        prop_assert_eq!(wheel.lost_overwrites, heap.lost_overwrites);
+    }
+
+    /// The same differential property with a random churn plan, a
+    /// duplicating fault plan, or both: the schedulers agree bit-exactly,
+    /// down to the churn and fault summaries. A random churn plan is
+    /// adversarial input, so the same typed error on both queues is
+    /// accepted on churned runs; fault-only runs must complete.
+    #[test]
+    fn wheel_matches_heap_under_churn_and_faults(
         n in 1usize..50,
         pr in 0.0f64..0.35,
         gseed in 0u64..300,
@@ -286,7 +308,10 @@ proptest! {
         let p = Synchronized::new(random_beeper(3, 2));
         let adv = stoneage_sim::adversary::Exponential { seed, mean };
         let churn = (churn_events > 0).then(|| ChurnPlan::random(&g, seed ^ 0xC4, churn_events, 6));
-        let faults = (faulted == 1).then(|| FaultPlan::new(seed).duplicate_rate(dup_rate, 1));
+        // Every case carries at least one plan: the plan-free cell is the
+        // property above.
+        let faults = (faulted == 1 || churn.is_none())
+            .then(|| FaultPlan::new(seed).duplicate_rate(dup_rate, 1));
         let run = |scheduler| {
             let mut b = Simulation::asynchronous(&p, &g, &adv)
                 .seed(seed)
@@ -300,6 +325,11 @@ proptest! {
             }
             b.run().map(|o| format!("{:?} | {:?} | {:?}", o.outputs, o.cost, o.detail))
         };
-        prop_assert_eq!(run(SchedulerKind::CalendarWheel), run(SchedulerKind::BinaryHeap));
+        let wheel = run(SchedulerKind::CalendarWheel);
+        let heap = run(SchedulerKind::BinaryHeap);
+        if churn.is_none() {
+            prop_assert!(heap.is_ok(), "fault-only run failed: {:?}", heap);
+        }
+        prop_assert_eq!(wheel, heap);
     }
 }
